@@ -17,10 +17,9 @@
 //! drives already-running gateways instead (lease traffic is then
 //! reported as zero — the lease plane lives with the remote nodes).
 //!
-//! A machine-readable summary is written to `BENCH_cluster.json`
-//! (override with `BENCH_CLUSTER_OUT`). Exits non-zero if nothing was
-//! admitted or a protocol error occurred, so CI can use a plain
-//! invocation as the 3-node loopback smoke test.
+//! The summary goes to stdout. Exits non-zero if nothing was admitted or
+//! a protocol error occurred, so a plain invocation works as the 3-node
+//! loopback smoke test.
 
 use frap_cluster::net::{CoordServer, LeaseClient};
 use frap_cluster::{ClusterConfig, CoordCore, NodeCore, SharedStageCaps};
@@ -283,30 +282,15 @@ fn main() {
         total.decisions, per_sec
     );
     println!(
-        "outcomes       admitted={} rejected={} expired_on_arrival={}",
-        total.admitted, total.rejected, total.expired
+        "outcomes       admitted={} rejected={} expired_on_arrival={} shed_events={} \
+         protocol_errors={protocol_errors}",
+        total.admitted, total.rejected, total.expired, total.shed_events
     );
     println!(
         "lease plane    frames={lease_frames} bytes={lease_bytes} \
          ({lease_bytes_per_decision:.3} bytes/decision)"
     );
     println!("round-trip     p50={p50}ns p99={p99}ns p999={p999}ns max={max}ns");
-
-    let out = std::env::var("BENCH_CLUSTER_OUT").unwrap_or_else(|_| "BENCH_cluster.json".into());
-    let json = format!(
-        "{{\n  \"bench\": \"cluster_loadgen\",\n  \"nodes\": {nodes},\n  \
-         \"threads\": {threads},\n  \"seconds\": {seconds},\n  \"stages\": {stages},\n  \
-         \"load\": {load},\n  \"decisions\": {},\n  \"decisions_per_sec\": {:.1},\n  \
-         \"admitted\": {},\n  \"rejected\": {},\n  \"expired_on_arrival\": {},\n  \
-         \"shed_events\": {},\n  \"protocol_errors\": {protocol_errors},\n  \
-         \"lease_frames\": {lease_frames},\n  \"lease_bytes\": {lease_bytes},\n  \
-         \"lease_bytes_per_decision\": {lease_bytes_per_decision:.3},\n  \
-         \"rtt_p50_ns\": {p50},\n  \"rtt_p99_ns\": {p99},\n  \
-         \"rtt_p999_ns\": {p999},\n  \"rtt_max_ns\": {max}\n}}\n",
-        total.decisions, per_sec, total.admitted, total.rejected, total.expired, total.shed_events,
-    );
-    std::fs::write(&out, json).expect("write bench summary");
-    println!("wrote          {out}");
 
     assert!(total.admitted > 0, "smoke failure: nothing was admitted");
     assert_eq!(

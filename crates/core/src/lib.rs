@@ -92,7 +92,6 @@ pub mod error;
 pub mod fixed;
 pub mod graph;
 pub mod hist;
-pub mod kernel;
 pub mod lease;
 pub mod region;
 pub mod rta;

@@ -25,7 +25,6 @@ use crate::alpha::Alpha;
 use crate::delay::{stage_delay_factor, stage_delay_factor_inverse};
 use crate::error::RegionError;
 use crate::graph::TaskGraph;
-use crate::kernel::{FastVerdict, RegionKernel};
 
 /// A feasible region for an `N`-stage system: the set of synthetic
 /// utilization vectors under which every admitted task meets its
@@ -48,9 +47,9 @@ pub struct FeasibleRegion {
     alpha: Alpha,
     blocking: Vec<f64>,
     /// `α (1 − Σβ)` cached at construction so the per-decision hot path
-    /// ([`RegionTest::feasible`] via [`RegionKernel`]) never re-sums the
-    /// blocking vector. Recomputed by [`FeasibleRegion::with_blocking`]
-    /// with the same expression [`FeasibleRegion::budget`] always used.
+    /// ([`RegionTest::feasible`]) never re-sums the blocking vector.
+    /// Recomputed by [`FeasibleRegion::with_blocking`] with the same
+    /// expression [`FeasibleRegion::budget`] always used.
     budget: f64,
 }
 
@@ -129,12 +128,6 @@ impl FeasibleRegion {
     /// `α (1 − Σ_j β_j)`.
     pub fn budget(&self) -> f64 {
         self.budget
-    }
-
-    /// The vectorized fast-path kernel for this region's pipeline test
-    /// (see [`crate::kernel`]): stage count plus the cached budget.
-    pub fn kernel(&self) -> RegionKernel {
-        RegionKernel::new(self.stages, self.budget)
     }
 
     /// The left-hand side of the pipeline inequality: `Σ_j f(U_j)`.
@@ -271,42 +264,15 @@ impl RegionTest for FeasibleRegion {
         self.stages
     }
 
-    /// The pipeline-form test `Σ f(U_j) ≤ α(1 − Σβ)`, routed through the
-    /// vectorized [`RegionKernel`]: definitive fast verdicts are returned
-    /// directly (they provably match the exact test); near-boundary and
-    /// ineligible vectors fall back to the exact, validating
-    /// [`FeasibleRegion::contains`] path. Pipelines shorter than the
-    /// measured crossover skip the kernel entirely (see
-    /// [`crate::kernel::SCALAR_CUTOVER`]) — the guard-band bookkeeping
-    /// costs more than the exact sum there.
-    /// Decision-for-decision identical to calling `contains` alone
-    /// (`tests/kernel_differential.rs`).
+    /// The pipeline-form test `Σ f(U_j) ≤ α(1 − Σβ)`: exactly
+    /// [`FeasibleRegion::contains`].
     // Inline hint: this non-generic impl is called from monomorphized
     // admission loops in other crates; without LTO the hint is what lets
-    // the cutover branch and kernel dispatch flatten into the caller.
+    // the scalar sum flatten into the caller.
     #[inline]
     fn feasible(&self, utilizations: &[f64]) -> bool {
-        if utilizations.len() < crate::kernel::SCALAR_CUTOVER {
-            return self
-                .contains(utilizations)
-                .expect("well-formed utilization vector");
-        }
-        self.feasible_vectorized(utilizations)
-    }
-}
-
-impl FeasibleRegion {
-    /// The above-cutover arm of the routed region test: kernel verdict
-    /// with exact fallback. Outlined so the short-pipeline fast path the
-    /// cutover protects stays small in callers.
-    fn feasible_vectorized(&self, utilizations: &[f64]) -> bool {
-        match self.kernel().classify(utilizations) {
-            FastVerdict::Feasible => true,
-            FastVerdict::Infeasible => false,
-            FastVerdict::NearBoundary | FastVerdict::Ineligible => self
-                .contains(utilizations)
-                .expect("well-formed utilization vector"),
-        }
+        self.contains(utilizations)
+            .expect("well-formed utilization vector")
     }
 }
 

@@ -80,12 +80,16 @@ impl Scale {
     /// resolved against hardware parallelism and clamped to the
     /// replication count (extra threads would idle).
     pub fn effective_jobs(&self) -> usize {
-        let requested = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.jobs
-        };
-        requested.clamp(1, self.replications.max(1) as usize)
+        resolve_jobs(self.jobs).min(self.replications.max(1) as usize)
+    }
+}
+
+/// A `--jobs` value with `0` resolved to the hardware parallelism.
+pub fn resolve_jobs(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        jobs
     }
 }
 

@@ -28,7 +28,7 @@
 //! the sampled streams (and is a results-affecting change); changing
 //! `jobs` never does.
 
-use crate::common::Scale;
+use crate::common::{resolve_jobs, Scale};
 use frap_core::graph::TaskSpec;
 use frap_core::task::StageId;
 use frap_core::time::{Time, TimeDelta};
@@ -272,57 +272,50 @@ where
 {
     let start = Instant::now();
     let scale = cfg.scale;
-    let reps = scale.replications;
     let horizon = Time::from_secs(scale.horizon_secs);
-    let jobs = scale.effective_jobs();
     let seed = |rep: u64| replication_seed(cfg.base_seed, cfg.point, rep);
-
-    let outcomes: Vec<RepOutcome> = if jobs <= 1 {
-        (0..reps)
-            .map(|rep| run_replication(seed(rep), horizon, &make_sim, &make_arrivals))
-            .collect()
-    } else {
-        // Fan replications out over a scoped pool: worker `w` takes
-        // replications w, w+jobs, w+2·jobs, … and deposits each outcome in
-        // its replication-indexed slot, so the reduction below folds in
-        // exactly the serial order no matter which worker finished first.
-        let mut slots: Vec<Option<RepOutcome>> = Vec::new();
-        slots.resize_with(reps as usize, || None);
-        std::thread::scope(|scope| {
-            let make_sim = &make_sim;
-            let make_arrivals = &make_arrivals;
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut produced = Vec::new();
-                        let mut rep = w as u64;
-                        while rep < reps {
-                            produced.push((
-                                rep as usize,
-                                run_replication(seed(rep), horizon, make_sim, make_arrivals),
-                            ));
-                            rep += jobs as u64;
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (rep, outcome) in handle.join().expect("replication worker panicked") {
-                    slots[rep] = Some(outcome);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|o| o.expect("every replication ran"))
-            .collect()
-    };
+    let outcomes = par_map(scale.replications as usize, scale.jobs, |rep| {
+        run_replication(seed(rep as u64), horizon, &make_sim, &make_arrivals)
+    });
 
     let mut result = reduce(&outcomes);
     result.wall_secs = start.elapsed().as_secs_f64();
     perf::record(result.events, start.elapsed());
     result
+}
+
+/// Maps `f` over `0..n` on up to `jobs` scoped worker threads (`0` =
+/// hardware parallelism) and returns the results in index order. Worker
+/// `w` takes indices `w, w+jobs, w+2·jobs, …`; each result lands in its
+/// index's slot, so folding the output reproduces the serial fold no
+/// matter which worker finished first.
+pub fn par_map<R, F>(n: usize, jobs: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let jobs = resolve_jobs(jobs).min(n);
+    if jobs <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = (0..jobs)
+            .map(|w| {
+                scope.spawn(move || (w..n).step_by(jobs).map(|i| (i, f(i))).collect::<Vec<_>>())
+            })
+            .collect();
+        for handle in handles {
+            for (i, out) in handle.join().expect("par_map worker panicked") {
+                slots[i] = Some(out);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|o| o.expect("every index ran"))
+        .collect()
 }
 
 /// [`run_point_cfg`] at point 0 with the default base seed (the common

@@ -23,10 +23,9 @@
 //! trace, and the process exits with status 2 if the trace is empty or
 //! contains non-chain tasks (the wire protocol carries chains only).
 //!
-//! A machine-readable summary is written to `BENCH_gateway.json` (path
-//! overridable via the `BENCH_GATEWAY_OUT` environment variable). The
-//! process exits non-zero if nothing was admitted or any protocol error
-//! occurred, so CI can use a plain invocation as a smoke test.
+//! The summary goes to stdout. The process exits non-zero if nothing was
+//! admitted or any protocol error occurred, so a plain invocation works
+//! as a smoke test.
 
 use frap_core::admission::ExactContributions;
 use frap_core::hist::LatencyHistogram;
@@ -244,11 +243,7 @@ fn main() {
         total.rtt.max().as_micros(),
     );
     let per_sec = total.decisions as f64 / elapsed;
-    let expired_on_arrival = gateway
-        .map(|g| g.expired_on_arrival)
-        .unwrap_or(total.expired);
     let protocol_errors = gateway.map(|g| g.protocol_errors).unwrap_or(0);
-    let releases = gateway.map(|g| g.releases).unwrap_or(0);
     // Wire efficiency: kernel crossings and payload bytes per decision,
     // from the gateway's reactor counters (zero when driving a remote
     // gateway whose counters we cannot see).
@@ -268,9 +263,11 @@ fn main() {
         total.decisions, per_sec
     );
     println!(
-        "outcomes       admitted={} rejected={} expired_on_arrival={} ({:.2}% of decisions)",
+        "outcomes       admitted={} rejected={} shed_events={} expired_on_arrival={} \
+         ({:.2}% of decisions)",
         total.admitted,
         total.rejected,
+        total.shed_events,
         total.expired,
         expired_rate * 100.0
     );
@@ -316,32 +313,6 @@ fn main() {
         assert_eq!(live, 0, "tickets leaked: {live} live tasks after drain");
         println!("invariants     debug_validate passed, live_tasks=0 after drain");
     }
-
-    let out = std::env::var("BENCH_GATEWAY_OUT").unwrap_or_else(|_| "BENCH_gateway.json".into());
-    let json = format!(
-        "{{\n  \"bench\": \"gateway_loadgen\",\n  \"threads\": {threads},\n  \
-         \"seconds\": {seconds},\n  \"stages\": {stages},\n  \"load\": {load},\n  \
-         \"decisions\": {},\n  \"decisions_per_sec\": {:.1},\n  \
-         \"admitted\": {},\n  \"rejected\": {},\n  \"shed_events\": {},\n  \
-         \"expired_on_arrival\": {expired_on_arrival},\n  \
-         \"expired_on_arrival_rate\": {:.6},\n  \"releases\": {releases},\n  \
-         \"protocol_errors\": {protocol_errors},\n  \
-         \"rtt_p50_ns\": {p50},\n  \"rtt_p99_ns\": {p99},\n  \
-         \"rtt_p999_ns\": {p999},\n  \"rtt_max_ns\": {max},\n  \
-         \"p99_rtt_us\": {:.1},\n  \"bytes_per_decision\": {:.1},\n  \
-         \"syscalls_per_decision\": {:.3}\n}}\n",
-        total.decisions,
-        per_sec,
-        total.admitted,
-        total.rejected,
-        total.shed_events,
-        expired_rate,
-        p99 as f64 / 1_000.0,
-        bytes_per_decision,
-        syscalls_per_decision,
-    );
-    std::fs::write(&out, json).expect("write bench summary");
-    println!("wrote          {out}");
 
     assert!(total.admitted > 0, "smoke failure: nothing was admitted");
     assert_eq!(

@@ -118,6 +118,7 @@ mod imp_unix {
     use std::io;
     use std::os::raw::{c_int, c_uint, c_void};
     use std::os::unix::io::RawFd;
+    use std::sync::Arc;
     use std::time::Duration;
 
     extern "C" {
@@ -126,23 +127,17 @@ mod imp_unix {
         fn close(fd: c_int) -> c_int;
     }
 
-    /// Owns the readable half of the wake channel (eventfd on Linux, pipe
-    /// read end elsewhere); lives inside the reactor.
+    /// One owned descriptor, closed on drop. The reactor holds the read
+    /// side of its wake channel and every [`Waker`] clone holds the write
+    /// side through an `Arc`; on Linux both are the same eventfd, so it
+    /// closes only when the reactor and the last waker are gone.
     #[derive(Debug)]
-    struct WakeRead {
-        fd: RawFd,
-        /// Whether `fd` is also the write side (eventfd) — then closing
-        /// here closes the whole channel.
-        close_fd: bool,
-    }
+    struct OwnedFd(RawFd);
 
-    impl Drop for WakeRead {
+    impl Drop for OwnedFd {
         fn drop(&mut self) {
-            if self.close_fd {
-                // SAFETY: `fd` is a live descriptor owned solely by this
-                // struct; double-close is impossible because Drop runs once.
-                unsafe { close(self.fd) };
-            }
+            // SAFETY: sole owner of the descriptor; Drop runs once.
+            unsafe { close(self.0) };
         }
     }
 
@@ -150,31 +145,13 @@ mod imp_unix {
     ///
     /// Cloneable and cheap. Writes are non-blocking and best-effort: a
     /// full pipe/counter already guarantees the target will wake, so
-    /// `EAGAIN` is success. The underlying descriptor lives as long as
-    /// the reactor; users must not wake a reactor whose thread has already
-    /// been joined (the gateway's shutdown sequence guarantees this).
+    /// `EAGAIN` is success. The waker keeps its descriptor open, so waking
+    /// a reactor that is already gone writes into the dead channel (a
+    /// no-op), never into whatever later reuses the fd number.
     #[derive(Debug, Clone)]
     pub struct Waker {
-        fd: RawFd,
-        /// Owns the write end (pipe backend); eventfd wakers borrow the
-        /// reactor's fd. Shared via Arc so clones don't double-close.
-        _owner: Option<std::sync::Arc<OwnedFd>>,
+        fd: Arc<OwnedFd>,
     }
-
-    #[derive(Debug)]
-    struct OwnedFd(RawFd);
-
-    impl Drop for OwnedFd {
-        fn drop(&mut self) {
-            // SAFETY: sole owner of the descriptor.
-            unsafe { close(self.0) };
-        }
-    }
-
-    // SAFETY: the waker only ever passes its integer fd to write(2), which
-    // is thread-safe.
-    unsafe impl Send for Waker {}
-    unsafe impl Sync for Waker {}
 
     impl Waker {
         /// Makes the paired reactor's current (or next) `wait` return.
@@ -182,7 +159,7 @@ mod imp_unix {
             let one: u64 = 1;
             // SAFETY: writes 8 bytes from a live local; both eventfd and
             // pipe accept any byte payload (eventfd requires exactly 8).
-            let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
+            let _ = unsafe { write(self.fd.0, (&one as *const u64).cast(), 8) };
         }
     }
 
@@ -244,7 +221,7 @@ mod imp_unix {
         #[derive(Debug)]
         pub struct Reactor {
             epfd: RawFd,
-            wake: super::WakeRead,
+            wake: Arc<super::OwnedFd>,
             buf: Vec<EpollEvent>,
         }
 
@@ -297,19 +274,14 @@ mod imp_unix {
                     unsafe { close(epfd) };
                     return Err(err);
                 }
+                let wake = Arc::new(super::OwnedFd(efd));
                 let reactor = Reactor {
                     epfd,
-                    wake: super::WakeRead {
-                        fd: efd,
-                        close_fd: true,
-                    },
+                    wake: Arc::clone(&wake),
                     buf: vec![EpollEvent { events: 0, data: 0 }; 128],
                 };
                 ctl(epfd, EPOLL_CTL_ADD, efd, EPOLLIN, WAKE_TOKEN)?;
-                let waker = super::Waker {
-                    fd: efd,
-                    _owner: None,
-                };
+                let waker = super::Waker { fd: wake };
                 Ok((reactor, waker))
             }
 
@@ -384,7 +356,7 @@ mod imp_unix {
                     let token = ev.data as usize;
                     let events = ev.events;
                     if token == WAKE_TOKEN {
-                        super::drain_wake(self.wake.fd);
+                        super::drain_wake(self.wake.0);
                         out.push(Event {
                             token,
                             readable: false,
@@ -445,7 +417,7 @@ mod imp_unix {
         /// only on (de)registration.
         #[derive(Debug)]
         pub struct Reactor {
-            wake: super::WakeRead,
+            wake: Arc<super::OwnedFd>,
             regs: Vec<(RawFd, usize, Interest)>,
             fds: Vec<PollFd>,
             dirty: bool,
@@ -472,17 +444,13 @@ mod imp_unix {
                     }
                 }
                 let reactor = Reactor {
-                    wake: super::WakeRead {
-                        fd: ends[0],
-                        close_fd: true,
-                    },
+                    wake: Arc::new(super::OwnedFd(ends[0])),
                     regs: Vec::new(),
                     fds: Vec::new(),
                     dirty: true,
                 };
                 let waker = super::Waker {
-                    fd: ends[1],
-                    _owner: Some(std::sync::Arc::new(super::OwnedFd(ends[1]))),
+                    fd: Arc::new(super::OwnedFd(ends[1])),
                 };
                 Ok((reactor, waker))
             }
@@ -539,7 +507,7 @@ mod imp_unix {
                 if self.dirty {
                     self.fds.clear();
                     self.fds.push(PollFd {
-                        fd: self.wake.fd,
+                        fd: self.wake.0,
                         events: POLLIN,
                         revents: 0,
                     });
@@ -577,7 +545,7 @@ mod imp_unix {
                     return Err(err);
                 }
                 if self.fds[0].revents & POLLIN != 0 {
-                    super::drain_wake(self.wake.fd);
+                    super::drain_wake(self.wake.0);
                     out.push(Event {
                         token: WAKE_TOKEN,
                         readable: false,
@@ -620,6 +588,27 @@ mod imp_unix {
             reactor.wait(&mut events, None).expect("wait");
             assert!(events.iter().any(|e| e.token == WAKE_TOKEN));
             handle.join().unwrap();
+        }
+
+        /// A waker that outlives its reactor must not write into the
+        /// descriptor number the reactor freed: the sockets opened right
+        /// after the drop take the lowest free numbers, and none of them
+        /// may see the wake's 8 bytes.
+        #[test]
+        fn a_waker_outliving_its_reactor_writes_into_no_reused_fd() {
+            use std::os::unix::net::UnixStream;
+            let (reactor, waker) = Reactor::new().expect("reactor");
+            drop(reactor);
+            let pairs: Vec<(UnixStream, UnixStream)> = (0..64)
+                .map(|_| UnixStream::pair().expect("socketpair"))
+                .collect();
+            waker.wake();
+            let mut buf = [0u8; 16];
+            for end in pairs.iter().flat_map(|(a, b)| [a, b]) {
+                end.set_nonblocking(true).expect("nonblocking");
+                let stray = (&*end).read(&mut buf).unwrap_or(0);
+                assert_eq!(stray, 0, "the wake landed in a reused descriptor");
+            }
         }
 
         #[test]

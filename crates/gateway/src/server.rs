@@ -211,7 +211,7 @@ pub struct GatewaySnapshot {
 impl GatewaySnapshot {
     /// Total kernel crossings attributable to the datapath: wakes plus
     /// read plus write syscalls. Divided by decisions this is the
-    /// `syscalls_per_decision` wire-efficiency metric in BENCH_gateway.
+    /// syscalls-per-decision wire-efficiency figure.
     pub fn syscalls(&self) -> u64 {
         self.wakeups + self.read_syscalls + self.write_syscalls
     }
@@ -421,7 +421,13 @@ impl GatewayServer {
         self.shared.snapshot()
     }
 
+    /// Stops and joins every worker. Idempotent: [`GatewayServer::shutdown`]
+    /// runs it and `Drop` runs it again on the already-stopped server,
+    /// which must then wake nothing.
     fn stop_and_join(&mut self) {
+        if self.workers.is_empty() {
+            return;
+        }
         self.drain();
         self.shared.stop.store(true, Ordering::Release);
         for waker in &self.wakers {

@@ -375,6 +375,57 @@ fn a_thousand_mostly_idle_connections_stay_cheap_and_correct() {
 /// bytes back up after a few kilobytes instead of after megabytes of
 /// buffer autotuning. Linux-only (the constants and the reactor's epoll
 /// backend are both Linux-specific); requires a raw socket because std
+/// Shutting a gateway down must write nothing into descriptors it no
+/// longer owns. A prober thread keeps recycling Unix socket pairs, so the
+/// fd numbers the workers free on exit are reused at once; each pair lives
+/// for one probe round and is checked on both ends before it closes. Any
+/// byte it reads is a stray write from the gateway's wake path.
+#[cfg(unix)]
+#[test]
+fn shutdown_writes_nothing_into_reused_fd_numbers() {
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    fn stray_bytes(pairs: &[(UnixStream, UnixStream)]) -> usize {
+        let mut buf = [0u8; 64];
+        pairs
+            .iter()
+            .flat_map(|(a, b)| [a, b])
+            .map(|mut end| end.read(&mut buf).unwrap_or(0))
+            .sum()
+    }
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let prober = std::thread::spawn({
+        let stop = Arc::clone(&stop);
+        move || {
+            let mut stray = 0;
+            let mut held = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let fresh: Vec<(UnixStream, UnixStream)> = (0..8)
+                    .map(|_| {
+                        let (a, b) = UnixStream::pair().expect("socketpair");
+                        a.set_nonblocking(true).expect("nonblocking");
+                        b.set_nonblocking(true).expect("nonblocking");
+                        (a, b)
+                    })
+                    .collect();
+                stray += stray_bytes(&held);
+                held = fresh;
+            }
+            stray + stray_bytes(&held)
+        }
+    });
+    for _ in 0..50 {
+        let (server, _service) = start(2, 2);
+        server.shutdown();
+    }
+    stop.store(true, Ordering::Relaxed);
+    let stray = prober.join().expect("prober thread");
+    assert_eq!(stray, 0, "shutdown wrote into reused descriptors");
+}
+
 /// offers no pre-connect socket options.
 #[cfg(target_os = "linux")]
 fn connect_with_tiny_recv_buffer(addr: std::net::SocketAddr) -> TcpStream {

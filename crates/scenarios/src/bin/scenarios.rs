@@ -7,7 +7,7 @@
 //!
 //!   --quick             8 s horizon instead of 60 s
 //!   --smoke             CI mode: serverless + flash_crowd only, sim
-//!                       backend only, no CSV output (BENCH JSON only)
+//!                       backend only, no CSV output
 //!   --jobs N            worker threads for the sim runs (0 = hardware)
 //!   --no-gateway        skip the live-gateway replay
 //!   --gateway-scale N   time-compression factor for the gateway replay
@@ -20,14 +20,13 @@
 //! Every admitted-and-completed task in the simulator is checked against
 //! its end-to-end deadline; this binary asserts `missed == 0` for every
 //! scenario — the feasible-region guarantee, exercised under cloud-shaped
-//! load. A machine-readable summary lands in `BENCH_scenarios.json`
-//! (override the path with `BENCH_SCENARIOS_OUT`).
+//! load.
 
 use frap_core::time::Time;
-use frap_experiments::common::{f, Scale, Table};
+use frap_experiments::common::{f, resolve_jobs, Scale, Table};
+use frap_experiments::runner::par_map;
 use frap_scenarios::runner::{run_gateway, run_sim, SimRun};
-use frap_scenarios::{catalog, Scenario, ScenarioPolicy};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use frap_scenarios::{catalog, ScenarioPolicy};
 
 fn flag_value(args: &[String], flag: &str) -> Option<u64> {
     let pos = args.iter().position(|a| a == flag)?;
@@ -39,32 +38,6 @@ fn policy_name(p: ScenarioPolicy) -> &'static str {
         ScenarioPolicy::Reject => "reject",
         ScenarioPolicy::ShedLessImportant => "shed",
     }
-}
-
-/// Runs the sims with bounded parallelism, preserving catalog order.
-fn run_sims(scenarios: &[Scenario], jobs: usize) -> Vec<SimRun> {
-    let workers = jobs.min(scenarios.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<SimRun>> = Vec::new();
-    slots.resize_with(scenarios.len(), || None);
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<SimRun>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= scenarios.len() {
-                    break;
-                }
-                let run = run_sim(&scenarios[idx]);
-                **slot_refs[idx].lock().expect("slot lock") = Some(run);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every scenario ran"))
-        .collect()
 }
 
 fn main() {
@@ -85,11 +58,7 @@ fn main() {
     if smoke {
         scenarios.retain(|s| matches!(s.name, "serverless" | "flash_crowd"));
     }
-    let jobs = if scale.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        scale.jobs
-    };
+    let jobs = resolve_jobs(scale.jobs);
     println!(
         "scenarios: {} famil{} at {horizon_secs}s horizon, {jobs} job(s){}",
         scenarios.len(),
@@ -97,7 +66,7 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
 
-    let runs = run_sims(&scenarios, jobs);
+    let runs: Vec<SimRun> = par_map(scenarios.len(), jobs, |i| run_sim(&scenarios[i]));
 
     if let Some(pos) = args.iter().position(|a| a == "--save-traces") {
         let dir = args
@@ -211,7 +180,6 @@ fn main() {
 
     // Live-gateway replay: the same serverless trace, time-compressed,
     // through real TCP against the production admission path.
-    let mut gateway_line = String::new();
     if !smoke && !no_gateway {
         let sc = scenarios
             .iter()
@@ -242,38 +210,5 @@ fn main() {
             gw.admitted,
             sim.report.admitted
         );
-        gateway_line = format!(
-            ",\n  \"gateway_offered\": {},\n  \"gateway_admitted\": {},\n  \
-             \"gateway_delta_vs_sim\": {delta},\n  \"gateway_scale\": {gateway_scale}",
-            gw.offered, gw.admitted
-        );
     }
-
-    let per_family: String = scenarios
-        .iter()
-        .zip(&runs)
-        .map(|(sc, run)| {
-            format!(
-                ",\n  \"{}_acceptance\": {:.6},\n  \"{}_shed\": {}",
-                sc.name,
-                run.report.acceptance_ratio(),
-                sc.name,
-                run.report.shed
-            )
-        })
-        .collect();
-    let (offered, admitted): (u64, u64) = runs.iter().fold((0, 0), |(o, a), r| {
-        (o + r.report.offered, a + r.report.admitted)
-    });
-    let out =
-        std::env::var("BENCH_SCENARIOS_OUT").unwrap_or_else(|_| "BENCH_scenarios.json".into());
-    let json = format!(
-        "{{\n  \"bench\": \"scenarios\",\n  \"events_per_sec\": {events_per_sec:.1},\n  \
-         \"horizon_secs\": {horizon_secs},\n  \"families\": {},\n  \
-         \"offered\": {offered},\n  \"admitted\": {admitted},\n  \
-         \"missed\": 0{per_family}{gateway_line}\n}}\n",
-        scenarios.len()
-    );
-    std::fs::write(&out, json).expect("write bench summary");
-    println!("wrote          {out}");
 }

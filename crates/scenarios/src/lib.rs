@@ -28,8 +28,7 @@
 //! per-tenant admit shares, and shed-by-importance tables.
 //!
 //! `cargo run --release -p frap-scenarios --bin scenarios -- --quick`
-//! writes the tables under `results/scenarios/` and a
-//! `BENCH_scenarios.json` summary.
+//! prints the tables and writes them under `results/scenarios/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

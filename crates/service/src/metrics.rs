@@ -1,5 +1,5 @@
 //! Service observability: decision counters, decision-latency percentiles,
-//! and periodic utilization snapshots.
+//! and utilization snapshots.
 //!
 //! The latency histogram reuses [`frap_core::hist::LatencyHistogram`]
 //! (moved out of the simulator for exactly this purpose) but records
@@ -10,7 +10,7 @@
 //! mislabeled `TimeDelta`.
 
 use frap_core::hist::LatencyHistogram;
-use frap_core::time::{Time, TimeDelta};
+use frap_core::time::TimeDelta;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone decision counters, updated lock-free by every worker thread.
@@ -211,49 +211,6 @@ fn ns_of(value: TimeDelta) -> u64 {
     value.as_micros()
 }
 
-/// A periodic log of utilization vectors, for watching the charge /
-/// decrement / idle-reset lifecycle breathe under live traffic. Sampling
-/// is driven by the caller (e.g. a load generator's reporter thread).
-#[derive(Debug, Clone, Default)]
-pub struct UtilizationSeries {
-    samples: Vec<(Time, Vec<f64>)>,
-}
-
-impl UtilizationSeries {
-    /// An empty series.
-    pub fn new() -> UtilizationSeries {
-        UtilizationSeries::default()
-    }
-
-    /// Appends one sample.
-    pub fn push(&mut self, at: Time, utilizations: Vec<f64>) {
-        self.samples.push((at, utilizations));
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were taken.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The samples, oldest first.
-    pub fn samples(&self) -> &[(Time, Vec<f64>)] {
-        &self.samples
-    }
-
-    /// The highest utilization the series observed on `stage`.
-    pub fn peak(&self, stage: usize) -> f64 {
-        self.samples
-            .iter()
-            .filter_map(|(_, v)| v.get(stage).copied())
-            .fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,17 +256,5 @@ mod tests {
         };
         let p99 = snap.decision_latency_ns(0.99);
         assert!((700..=900).contains(&p99), "p99={p99}");
-    }
-
-    #[test]
-    fn utilization_series_peak() {
-        let mut s = UtilizationSeries::new();
-        assert!(s.is_empty());
-        s.push(Time::ZERO, vec![0.1, 0.5]);
-        s.push(Time::from_secs(1), vec![0.3, 0.2]);
-        assert_eq!(s.len(), 2);
-        assert!((s.peak(0) - 0.3).abs() < 1e-12);
-        assert!((s.peak(1) - 0.5).abs() < 1e-12);
-        assert_eq!(s.peak(9), 0.0);
     }
 }

@@ -1302,12 +1302,12 @@ where
         }
     }
 
-    /// Locks every shard (ascending), drains the pending rings, and
-    /// checks every cross-shard invariant inside a write-quiescent
-    /// window: atomic totals equal the entry-map sums **exactly**
-    /// (integer units, no tolerance) and the stable aggregate vector is
-    /// inside the region. If charging writers keep interfering — e.g. one
-    /// stalled on a refilled ring while we hold its shard — the locks are
+    /// Locks every shard (ascending) and checks every cross-shard
+    /// invariant inside a write-quiescent window: atomic totals equal the
+    /// entry-map sums plus the admissions still queued on the pending
+    /// rings, drained inside that same window, **exactly** (integer
+    /// units, no tolerance), and the stable aggregate vector is inside
+    /// the region. If charging writers keep interfering, the locks are
     /// released and the whole observation retries.
     ///
     /// # Panics
@@ -1319,11 +1319,8 @@ where
             let mut guards: Vec<MutexGuard<'_, Shard>> = (0..inner.state.shard_count())
                 .map(|i| self.lock_shard(i))
                 .collect();
-            for g in guards.iter_mut() {
-                inner.state.drain_pending(g);
-            }
-            let refs: Vec<&Shard> = guards.iter().map(|g| &**g).collect();
-            if let Some(current) = inner.state.try_validate_locked(&refs) {
+            let mut refs: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
+            if let Some(current) = inner.state.try_validate_locked(&mut refs) {
                 assert!(
                     inner.region.feasible(&current),
                     "aggregate utilization {current:?} left the feasible region"

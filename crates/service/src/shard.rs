@@ -67,7 +67,7 @@ use std::sync::Mutex;
 const HINT_SCAN_LIMIT: usize = 512;
 
 /// How many times a write-quiescence validation re-attempts before
-/// reporting interference to the caller (who re-drains and retries).
+/// reporting interference to the caller (who re-locks and retries).
 const VALIDATE_ATTEMPTS: usize = 64;
 
 /// Pads (and aligns) a value to a cache line so per-stage atomics on
@@ -506,29 +506,31 @@ impl ShardedUtilization {
         expired
     }
 
-    /// Validates the counters against the (already locked, already
-    /// ring-drained) shards' entry maps inside a **write-quiescent
-    /// window**: waits for `writers_begin == writers_end`, captures the
-    /// totals, recomputes per-stage sums from the entries, and confirms
-    /// no write section opened meanwhile. With every shard lock held by
-    /// the caller, reductions are also excluded, so the captured cut is
-    /// frozen and the comparison is **exact** (integer equality, no
-    /// tolerance).
+    /// Validates the counters against the (already locked) shards inside
+    /// a **write-quiescent window**: reads `writers_end` then
+    /// `writers_begin`, captures the totals, folds every admission still
+    /// queued on a pending ring into its shard and into the expected
+    /// sums, and confirms no write section opened meanwhile. Every
+    /// charged unit outside a write section belongs to an entry or to a
+    /// ringed admission, and the window admits neither charges nor ring
+    /// pushes; with every shard lock held by the caller, reductions are
+    /// excluded too. So the captured cut is frozen and the comparison —
+    /// totals against entries plus ringed contributions — is **exact**
+    /// (integer equality, no tolerance).
     ///
     /// Returns the stable aggregate utilization vector on success, or
     /// `None` if concurrent write sections interfered for
-    /// `VALIDATE_ATTEMPTS` straight attempts (the caller re-drains rings
-    /// — a full ring can stall a writer mid-section — and retries).
+    /// `VALIDATE_ATTEMPTS` straight attempts (the caller releases the
+    /// locks and retries). Each attempt drains the rings, so a writer
+    /// stalled on a full ring can finish its section.
     ///
     /// # Panics
     ///
-    /// Panics if a stable capture diverges from the entry sums, or if a
-    /// pending ring is non-empty inside the stable window (the caller
-    /// drained them, and no writer ran since).
-    pub fn try_validate_locked(&self, shards: &[&Shard]) -> Option<Vec<f64>> {
+    /// Panics if a stable capture diverges from the expected sums.
+    pub fn try_validate_locked(&self, shards: &mut [&mut Shard]) -> Option<Vec<f64>> {
         assert_eq!(shards.len(), self.shard_count(), "all shards required");
         let mut sums = vec![0u64; self.stages()];
-        for shard in shards {
+        for shard in shards.iter() {
             for entry in shard.entries.values() {
                 for &(stage, units) in &entry.contributions {
                     sums[stage.index()] += units;
@@ -538,17 +540,20 @@ impl ShardedUtilization {
         for _ in 0..VALIDATE_ATTEMPTS {
             let end = self.writers_end.0.load(Ordering::SeqCst);
             let begin = self.writers_begin.0.load(Ordering::SeqCst);
-            if begin != end {
-                std::thread::yield_now();
-                continue;
-            }
             let observed: Vec<u64> = self
                 .totals
                 .iter()
                 .map(|t| t.0.load(Ordering::SeqCst))
                 .collect();
-            let rings_empty = self.pending.iter().all(|r| r.is_empty());
-            if self.writers_begin.0.load(Ordering::SeqCst) != begin {
+            for shard in shards.iter_mut() {
+                while let Some(p) = self.pending[shard.index].try_pop() {
+                    for &(stage, units) in &p.entry.contributions {
+                        sums[stage.index()] += units;
+                    }
+                    Self::insert_entry_locked(shard, p);
+                }
+            }
+            if begin != end || self.writers_begin.0.load(Ordering::SeqCst) != begin {
                 std::thread::yield_now();
                 continue;
             }
@@ -560,7 +565,6 @@ impl ShardedUtilization {
                     "stage {j}: atomic total diverged from entry sum"
                 );
             }
-            assert!(rings_empty, "pending ring non-empty in a stable window");
             return Some(
                 observed
                     .iter()
@@ -591,11 +595,9 @@ mod tests {
         let mut guards: Vec<_> = (0..su.shard_count())
             .map(|i| su.shard(i).lock().unwrap())
             .collect();
-        for g in guards.iter_mut() {
-            su.drain_pending(g);
-        }
-        let refs: Vec<&Shard> = guards.iter().map(|g| &**g).collect();
-        su.try_validate_locked(&refs).expect("quiescent in tests")
+        let mut refs: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
+        su.try_validate_locked(&mut refs)
+            .expect("quiescent in tests")
     }
 
     fn entry(contributions: Vec<(StageId, u64)>, expiry: Time) -> LiveEntry {
