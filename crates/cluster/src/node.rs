@@ -12,8 +12,8 @@
 //! richer.
 //!
 //! Returning capacity follows a shrink-then-measure discipline:
-//! lower the shared caps first, then read the service's utilization
-//! under its decision gate, and give back whatever the reading shows is
+//! lower the shared caps first, then read a write-stable snapshot of the
+//! service's utilization, and give back whatever the reading shows is
 //! actually still spent ([`NodeCore`] never returns units that live
 //! admissions occupy). See `DESIGN.md` §13 for the full argument.
 
@@ -29,7 +29,7 @@ use crate::shared_caps::SharedStageCaps;
 pub trait SpentProbe {
     /// Lock-free utilization snapshot (approximate; pressure checks).
     fn utilizations(&self) -> Vec<f64>;
-    /// Utilization read under the decision gate: a consistent cut no
+    /// Utilization from a write-stable snapshot: a consistent cut no
     /// admission can race past (the return discipline).
     fn gated_utilizations(&self) -> Vec<f64>;
 }
@@ -406,8 +406,8 @@ impl NodeCore {
         if !changed {
             return None;
         }
-        // Measure under the gate: every admission that could have spent
-        // against the old, larger caps is visible in this read.
+        // Measure after the shrink: every admission that could have
+        // spent against the old, larger caps is visible in this read.
         let gated = probe.gated_utilizations();
         for j in 0..self.stages {
             if applied[j] == 0 {

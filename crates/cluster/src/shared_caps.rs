@@ -16,13 +16,19 @@ const CAP_EPSILON: f64 = 1e-9;
 /// box while an `AdmissionService` keeps admitting against it — no
 /// rebuild, no hot-path change.
 ///
-/// Memory-ordering note: all accesses are `Relaxed`. The admission
-/// service evaluates [`RegionTest::feasible`] while holding its
-/// decision gate (a mutex), and the lease layer's shrink discipline is
-/// *lower caps, then read utilization through that same gate* — the
-/// mutex's happens-before edges make every relaxed cap write visible to
-/// any decision that could otherwise race past it (see `DESIGN.md`
-/// §13).
+/// Memory-ordering note: every access is `SeqCst`. Lock-free decisions
+/// take no gate, so nothing but the accesses' own ordering keeps the
+/// lease layer's shrink-then-measure discipline sound. The node lowers
+/// a cap (a SeqCst RMW) and then reads a stable utilization snapshot
+/// (SeqCst loads); an admit charges the totals (SeqCst RMWs) and then
+/// reads the caps here (SeqCst loads). All four sit in one total order:
+/// if the admit's cap load comes before the shrink, its charge came
+/// before the shrink too, so the node's later snapshot counts it; if it
+/// comes after, the admit tests against the smaller cap. With `Relaxed`
+/// cap accesses this is the store-buffering pattern, and the memory
+/// model lets each side miss the other's write (see `DESIGN.md` §13).
+/// A SeqCst load compiles to a plain load on x86, so the decision path
+/// pays nothing for it.
 #[derive(Debug, Clone)]
 pub struct SharedStageCaps {
     units: Arc<Vec<AtomicU64>>,
@@ -51,30 +57,30 @@ impl SharedStageCaps {
 
     /// Current cap of `stage`, in units.
     pub fn get(&self, stage: usize) -> u64 {
-        self.units[stage].load(Ordering::Relaxed)
+        self.units[stage].load(Ordering::SeqCst)
     }
 
     /// Snapshot of every cap, in units.
     pub fn units(&self) -> Vec<u64> {
         self.units
             .iter()
-            .map(|u| u.load(Ordering::Relaxed))
+            .map(|u| u.load(Ordering::SeqCst))
             .collect()
     }
 
     /// Overwrites one stage's cap.
     pub fn store(&self, stage: usize, units: u64) {
-        self.units[stage].store(units, Ordering::Relaxed);
+        self.units[stage].store(units, Ordering::SeqCst);
     }
 
     /// Grows one stage's cap by `delta` units.
     pub fn add(&self, stage: usize, delta: u64) {
-        self.units[stage].fetch_add(delta, Ordering::Relaxed);
+        self.units[stage].fetch_add(delta, Ordering::SeqCst);
     }
 
     /// Shrinks one stage's cap by `delta` units, saturating at zero.
     pub fn sub_saturating(&self, stage: usize, delta: u64) {
-        let _ = self.units[stage].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+        let _ = self.units[stage].fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
             Some(v.saturating_sub(delta))
         });
     }
@@ -83,7 +89,7 @@ impl SharedStageCaps {
     /// or not yet granted).
     pub fn zero_all(&self) {
         for u in self.units.iter() {
-            u.store(0, Ordering::Relaxed);
+            u.store(0, Ordering::SeqCst);
         }
     }
 }
@@ -94,11 +100,11 @@ impl RegionTest for SharedStageCaps {
     }
 
     /// Pointwise `U_j ≤ cap_j` against the current caps — monotone for
-    /// any fixed cap snapshot, which is all the admission gate observes.
+    /// any fixed cap snapshot.
     fn feasible(&self, utilizations: &[f64]) -> bool {
         debug_assert_eq!(utilizations.len(), self.units.len());
         utilizations.iter().zip(self.units.iter()).all(|(&u, cap)| {
-            u <= cap.load(Ordering::Relaxed) as f64 / UNIT_SCALE as f64 + CAP_EPSILON
+            u <= cap.load(Ordering::SeqCst) as f64 / UNIT_SCALE as f64 + CAP_EPSILON
         })
     }
 }

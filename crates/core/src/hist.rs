@@ -239,12 +239,19 @@ impl AtomicLatencyHistogram {
 
     /// Records one value (one relaxed `fetch_add`).
     pub fn record(&self, value: TimeDelta) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of the same value with one relaxed
+    /// `fetch_add` — a batch whose decisions share one measured duration
+    /// pays one RMW for all of them.
+    pub fn record_n(&self, value: TimeDelta, n: u64) {
         use std::sync::atomic::Ordering::Relaxed;
         let v = value.as_micros();
         if v >= SATURATION_BOUND {
-            self.overflow.fetch_add(1, Relaxed);
+            self.overflow.fetch_add(n, Relaxed);
         } else {
-            self.counts[bucket_of(v)].fetch_add(1, Relaxed);
+            self.counts[bucket_of(v)].fetch_add(n, Relaxed);
         }
     }
 
@@ -467,6 +474,34 @@ mod tests {
         // Merging into a non-empty histogram accumulates.
         atomic.merge_into(&mut merged);
         assert_eq!(merged.count(), 2 * plain.count());
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        let batched = AtomicLatencyHistogram::new();
+        let singles = AtomicLatencyHistogram::new();
+        for (v, n) in [
+            (us(0), 3u64),
+            (us(850), 7),
+            (us(1 << 20), 1),
+            (us(u64::MAX), 2),
+        ] {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                singles.record(v);
+            }
+        }
+        batched.record_n(us(40), 0);
+        assert_eq!(batched.count(), 13);
+        assert_eq!(batched.saturated(), 2);
+        let (mut a, mut b) = (LatencyHistogram::new(), LatencyHistogram::new());
+        batched.merge_into(&mut a);
+        singles.merge_into(&mut b);
+        assert_eq!(a.count(), b.count());
+        for q in [0.0, 0.25, 0.5, 0.75, 0.9, 1.0] {
+            assert_eq!(a.percentile(q), b.percentile(q), "q={q}");
+        }
+        assert_eq!((a.min(), a.max()), (b.min(), b.max()));
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Service observability: decision counters, decision-latency percentiles,
 //! and utilization snapshots.
 //!
+//! Every shard keeps its own [`ServiceCounters`] and lock-free latency
+//! histogram, in that shard's cache-aligned block, so decisions on
+//! different shards never write the same counter line; readers sum the
+//! per-shard [`CounterSnapshot`]s (`CounterSnapshot` implements `Sum`)
+//! and merge the histograms.
+//!
 //! The latency histogram reuses [`frap_core::hist::LatencyHistogram`]
 //! (moved out of the simulator for exactly this purpose) but records
 //! **nanoseconds** rather than microseconds: admission decisions take on
@@ -13,7 +19,8 @@ use frap_core::hist::LatencyHistogram;
 use frap_core::time::TimeDelta;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotone decision counters, updated lock-free by every worker thread.
+/// Monotone decision counters of one shard, updated lock-free by the
+/// threads that decide on it.
 #[derive(Debug, Default)]
 pub struct ServiceCounters {
     admitted: AtomicU64,
@@ -52,10 +59,6 @@ impl ServiceCounters {
         self.expired.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_expired_on_arrival(&self) {
-        self.expired_on_arrival.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn add_expired_on_arrival_n(&self, n: u64) {
         self.expired_on_arrival.fetch_add(n, Ordering::Relaxed);
     }
@@ -65,7 +68,12 @@ impl ServiceCounters {
     /// RMW per decision — `snapshot` folds the two together so
     /// [`CounterSnapshot::rejected`] still covers every rejection.
     pub(crate) fn add_fast_rejected(&self) {
-        self.fast_rejected.fetch_add(1, Ordering::Relaxed);
+        self.add_fast_rejected_n(1);
+    }
+
+    /// Counts `n` fast-path rejections with one RMW (a batch run's).
+    pub(crate) fn add_fast_rejected_n(&self, n: u64) {
+        self.fast_rejected.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn add_seqlock_fallback(&self) {
@@ -126,6 +134,31 @@ pub struct CounterSnapshot {
     /// revalidation, rolled back exactly, and retried. Diagnostic only —
     /// contention cost, never a wrong verdict.
     pub cas_retries: u64,
+}
+
+impl std::ops::Add for CounterSnapshot {
+    type Output = CounterSnapshot;
+
+    fn add(self, other: CounterSnapshot) -> CounterSnapshot {
+        CounterSnapshot {
+            admitted: self.admitted + other.admitted,
+            rejected: self.rejected + other.rejected,
+            shed: self.shed + other.shed,
+            released: self.released + other.released,
+            expired: self.expired + other.expired,
+            expired_on_arrival: self.expired_on_arrival + other.expired_on_arrival,
+            fast_rejected: self.fast_rejected + other.fast_rejected,
+            seqlock_fallbacks: self.seqlock_fallbacks + other.seqlock_fallbacks,
+            cas_retries: self.cas_retries + other.cas_retries,
+        }
+    }
+}
+
+/// Sums per-shard snapshots into the service-wide one.
+impl std::iter::Sum for CounterSnapshot {
+    fn sum<I: Iterator<Item = CounterSnapshot>>(iter: I) -> CounterSnapshot {
+        iter.fold(CounterSnapshot::default(), |acc, s| acc + s)
+    }
 }
 
 impl CounterSnapshot {
@@ -199,12 +232,14 @@ pub(crate) fn record_ns(hist: &mut LatencyHistogram, elapsed: std::time::Duratio
     hist.record(TimeDelta::from_micros(elapsed.as_nanos() as u64));
 }
 
-/// [`record_ns`] for the lock-free fast path's shared atomic histogram.
+/// [`record_ns`] for a shard's lock-free atomic histogram: `n` decisions
+/// that each took `elapsed`, with one RMW.
 pub(crate) fn record_ns_atomic(
     hist: &frap_core::hist::AtomicLatencyHistogram,
     elapsed: std::time::Duration,
+    n: u64,
 ) {
-    hist.record(TimeDelta::from_micros(elapsed.as_nanos() as u64));
+    hist.record_n(TimeDelta::from_micros(elapsed.as_nanos() as u64), n);
 }
 
 fn ns_of(value: TimeDelta) -> u64 {
@@ -224,7 +259,7 @@ mod tests {
         c.add_shed(3);
         c.add_released();
         c.add_expired(2);
-        c.add_expired_on_arrival();
+        c.add_expired_on_arrival_n(1);
         c.add_fast_rejected();
         c.add_seqlock_fallback();
         c.add_cas_retry();
@@ -242,6 +277,23 @@ mod tests {
         assert_eq!(s.cas_retries, 1);
         assert_eq!(s.decisions(), 4);
         assert!((s.acceptance_ratio() - 2.0 / 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn per_shard_snapshots_sum_field_by_field() {
+        let (a, b) = (ServiceCounters::default(), ServiceCounters::default());
+        a.add_admitted();
+        a.add_fast_rejected_n(5);
+        b.add_rejected_n(2);
+        b.add_released();
+        b.add_cas_retry();
+        let total: CounterSnapshot = [a.snapshot(), b.snapshot()].into_iter().sum();
+        assert_eq!(total.admitted, 1);
+        assert_eq!(total.rejected, 7);
+        assert_eq!(total.fast_rejected, 5);
+        assert_eq!(total.released, 1);
+        assert_eq!(total.cas_retries, 1);
+        assert_eq!(total.decisions(), 8);
     }
 
     #[test]

@@ -34,6 +34,18 @@
 //! suites diff against) and the cross-shard shedding path; lock order
 //! remains shards ascending, gate last.
 //!
+//! # Shard-local accounting
+//!
+//! Apart from the per-stage totals and the ticket-id counter, every
+//! read-modify-write a decision or a release performs lands on the block
+//! of the shard it books on or runs from (`shard` module docs): the
+//! decision counters, the lock-free latency histogram, the write-section
+//! pair, the pending ring and the next-due hint. Tickets release through
+//! a per-shard sink — an `Arc` holding the service — so minting and
+//! dropping one moves its shard's reference count, not a count every
+//! thread shares. [`AdmissionService::counters`] and
+//! [`AdmissionService::snapshot`] sum over the shards.
+//!
 //! Reductions (deadline expiry, release, shed, idle reset) run without
 //! any of this: the region test is monotone in every stage utilization,
 //! so a decision made against a vector that concurrent reductions have
@@ -42,16 +54,14 @@
 //! property the concurrency tests hammer on).
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::metrics::{
-    record_ns, record_ns_atomic, CounterSnapshot, MetricsSnapshot, ServiceCounters,
-};
-use crate::shard::{LiveEntry, PendingAdmission, Shard, ShardedUtilization};
+use crate::metrics::{record_ns, record_ns_atomic, CounterSnapshot, MetricsSnapshot};
+use crate::shard::{CachePadded, LiveEntry, PendingAdmission, Shard, ShardedUtilization};
 use frap_core::admission::ContributionModel;
 use frap_core::fixed::{
     feasible_fp, fp_contributions_into, tentative_feasible_fp, tentative_feasible_fp_overlay,
 };
 use frap_core::graph::TaskSpec;
-use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
+use frap_core::hist::LatencyHistogram;
 use frap_core::region::RegionTest;
 use frap_core::task::StageId;
 use frap_core::time::Time;
@@ -173,10 +183,12 @@ impl ServiceOutcome {
 }
 
 /// The object-safe backend an [`AdmissionTicket`] releases through,
-/// erasing the service's generics so tickets stay plain structs.
+/// erasing the service's generics so tickets stay plain structs. Each
+/// shard has its own sink, so minting and dropping a ticket touches the
+/// reference count of the shard it booked on, not the service's.
 trait TicketSink: Send + Sync {
-    fn release_ticket(&self, shard: usize, id: u64);
-    fn depart_ticket(&self, shard: usize, id: u64, stage: StageId);
+    fn release_ticket(&self, id: u64);
+    fn depart_ticket(&self, id: u64, stage: StageId);
 }
 
 /// An RAII admission: proof that the feasible-region test passed and the
@@ -193,7 +205,6 @@ trait TicketSink: Send + Sync {
 pub struct AdmissionTicket {
     sink: Option<Arc<dyn TicketSink>>,
     id: u64,
-    shard: usize,
     deadline: Time,
 }
 
@@ -219,14 +230,14 @@ impl AdmissionTicket {
     /// ([`AdmissionService::on_stage_idle`]).
     pub fn mark_departed(&self, stage: StageId) {
         if let Some(sink) = &self.sink {
-            sink.depart_ticket(self.shard, self.id, stage);
+            sink.depart_ticket(self.id, stage);
         }
     }
 
     /// Releases the admission now (same as dropping, but explicit).
     pub fn release(mut self) {
         if let Some(sink) = self.sink.take() {
-            sink.release_ticket(self.shard, self.id);
+            sink.release_ticket(self.id);
         }
     }
 
@@ -241,7 +252,7 @@ impl AdmissionTicket {
 impl Drop for AdmissionTicket {
     fn drop(&mut self) {
         if let Some(sink) = self.sink.take() {
-            sink.release_ticket(self.shard, self.id);
+            sink.release_ticket(self.id);
         }
     }
 }
@@ -250,18 +261,28 @@ struct Inner<R, M, C> {
     region: R,
     model: M,
     clock: C,
+    /// The totals and the per-shard blocks (counters, lock-free latency
+    /// histogram, write sections, pending ring, bookkeeping).
     state: ShardedUtilization,
     gate: Mutex<()>,
-    counters: ServiceCounters,
-    next_id: AtomicU64,
+    /// Ticket ids, one `fetch_add` per admit on any shard. Padded so
+    /// that RMW does not evict the read-only fields every decision
+    /// reads (`draining`, the region, the state's pointers).
+    next_id: CachePadded<AtomicU64>,
     draining: AtomicBool,
-    /// Latency samples for decisions concluded on the lock-free path
-    /// (which holds no shard mutex to record through).
-    fast_latency: AtomicLatencyHistogram,
     /// Whether the lock-free decision path is enabled (builder knob; the
     /// oracle-replay and twin-equivalence tests disable it to get the
     /// pure locked path).
     fast_path: bool,
+}
+
+/// Shard `shard`'s ticket sink. Aligned to a cache line, so the
+/// reference count at the head of its `Arc` allocation shares a line
+/// with no other shard's.
+#[repr(align(64))]
+struct ShardSink<R, M, C> {
+    inner: Arc<Inner<R, M, C>>,
+    shard: usize,
 }
 
 impl<R, M, C> std::fmt::Debug for Inner<R, M, C>
@@ -369,20 +390,25 @@ impl<R: RegionTest, M: ContributionModel, C: Clock> AdmissionServiceBuilder<R, M
             None => vec![0.0; self.region.stages()],
         };
         let start = self.clock.now();
-        AdmissionService {
-            inner: Arc::new(Inner {
-                region: self.region,
-                model: self.model,
-                clock: self.clock,
-                state: ShardedUtilization::new(&floors, self.shards, start),
-                gate: Mutex::new(()),
-                counters: ServiceCounters::default(),
-                next_id: AtomicU64::new(0),
-                draining: AtomicBool::new(false),
-                fast_latency: AtomicLatencyHistogram::new(),
-                fast_path: self.fast_path,
-            }),
-        }
+        let inner = Arc::new(Inner {
+            region: self.region,
+            model: self.model,
+            clock: self.clock,
+            state: ShardedUtilization::new(&floors, self.shards, start),
+            gate: Mutex::new(()),
+            next_id: CachePadded(AtomicU64::new(0)),
+            draining: AtomicBool::new(false),
+            fast_path: self.fast_path,
+        });
+        let sinks = (0..self.shards)
+            .map(|shard| {
+                Arc::new(ShardSink {
+                    inner: Arc::clone(&inner),
+                    shard,
+                }) as Arc<dyn TicketSink>
+            })
+            .collect();
+        AdmissionService { inner, sinks }
     }
 }
 
@@ -415,12 +441,17 @@ impl<R: RegionTest, M: ContributionModel, C: Clock> AdmissionServiceBuilder<R, M
 #[derive(Debug)]
 pub struct AdmissionService<R, M, C = MonotonicClock> {
     inner: Arc<Inner<R, M, C>>,
+    /// One ticket sink per shard. The handle, not `Inner`, holds them:
+    /// each sink holds `Inner`, so `Inner` holding its sinks would be a
+    /// reference cycle.
+    sinks: Arc<[Arc<dyn TicketSink>]>,
 }
 
 impl<R, M, C> Clone for AdmissionService<R, M, C> {
     fn clone(&self) -> Self {
         AdmissionService {
             inner: Arc::clone(&self.inner),
+            sinks: Arc::clone(&self.sinks),
         }
     }
 }
@@ -469,14 +500,14 @@ where
     pub fn try_admit(&self, spec: &TaskSpec) -> Option<AdmissionTicket> {
         let started = Instant::now();
         let inner = &*self.inner;
+        let home = self.home_shard();
         if inner.draining.load(Ordering::Acquire) {
-            inner.counters.add_rejected();
+            inner.state.counters(home).add_rejected();
             return None;
         }
         if !inner.fast_path {
-            return self.try_admit_locked(started, spec);
+            return self.try_admit_locked(started, home, spec);
         }
-        let home = self.home_shard();
         let now = inner.clock.now_with_hint(started);
         self.expire_guard(now, home);
         let result = SCRATCH.with(|scratch| {
@@ -485,7 +516,7 @@ where
             inner.model.contributions_into(spec, &mut s.contrib);
             self.decide_lockfree(now, home, spec, s)
         });
-        record_ns_atomic(&inner.fast_latency, started.elapsed());
+        record_ns_atomic(inner.state.latency(home), started.elapsed(), 1);
         result
     }
 
@@ -493,16 +524,21 @@ where
     /// (`fast_path(false)`): one shard lock, the admission gate, direct
     /// bookkeeping inserts. The differential suites diff the lock-free
     /// path against this one.
-    fn try_admit_locked(&self, started: Instant, spec: &TaskSpec) -> Option<AdmissionTicket> {
+    fn try_admit_locked(
+        &self,
+        started: Instant,
+        shard_idx: usize,
+        spec: &TaskSpec,
+    ) -> Option<AdmissionTicket> {
         let inner = &*self.inner;
-        let shard_idx = self.home_shard();
+        let counters = inner.state.counters(shard_idx);
         let mut shard = self.lock_shard(shard_idx);
         // Read the clock AFTER taking the lock: any earlier wheel advance
         // happened-before this read, so `now` can never rewind the wheel.
         let now = inner.clock.now();
         let expired = inner.state.expire_due(&mut shard, now);
         if expired > 0 {
-            inner.counters.add_expired(expired);
+            counters.add_expired(expired);
         }
 
         let result = SCRATCH.with(|scratch| {
@@ -521,7 +557,7 @@ where
                     &mut s.floats,
                 );
                 if ok {
-                    inner.state.charge(&s.contrib_fp);
+                    inner.state.charge(shard_idx, &s.contrib_fp);
                 }
                 ok
             };
@@ -529,7 +565,7 @@ where
             if admitted {
                 Some(self.commit(&mut shard, shard_idx, now, spec, &s.contrib_fp))
             } else {
-                inner.counters.add_rejected();
+                counters.add_rejected();
                 None
             }
         });
@@ -544,7 +580,8 @@ where
     /// branch (the overlay test quantizes piecewise to the identical
     /// verdict, so the reject path — the hot one at overload — never
     /// materializes them). The expire guard for `target` must already
-    /// have run at `now`.
+    /// have run at `now`. Every counter and write section of the decision
+    /// lands on `target`'s block.
     fn decide_lockfree(
         &self,
         now: Time,
@@ -553,6 +590,7 @@ where
         s: &mut Scratch,
     ) -> Option<AdmissionTicket> {
         let inner = &*self.inner;
+        let counters = inner.state.counters(target);
         // A plain (non-seqlock) read suffices here: each component is a
         // value the counters genuinely held at its load instant, and the
         // region test is monotone, so any reject it concludes is safe —
@@ -572,13 +610,13 @@ where
         ) {
             // One RMW covers the decision: `fast_rejected` is folded into
             // the reported `rejected` total at snapshot time.
-            inner.counters.add_fast_rejected();
+            counters.add_fast_rejected();
             return None;
         }
         fp_contributions_into(&s.contrib, &mut s.contrib_fp);
         let (contrib_fp, current_fp, floats) = (&s.contrib_fp, &mut s.current_fp, &mut s.floats);
         for _ in 0..CAS_ADMIT_RETRIES {
-            inner.state.begin_write();
+            inner.state.begin_write(target);
             inner.state.add_units(contrib_fp);
             // Revalidate the post-charge vector (the SeqCst read sees our
             // own adds): if every committed charge revalidated against a
@@ -586,48 +624,49 @@ where
             // live vector feasible — see DESIGN.md §16 for the proof.
             inner.state.read_fp_into(current_fp);
             if feasible_fp(&inner.region, current_fp, floats) {
-                let ticket = self.commit_lockfree(target, now, spec, contrib_fp);
-                inner.state.end_write();
+                let ticket = self.commit_lockfree(target, now, spec, contrib_fp.to_vec());
+                inner.state.end_write(target);
                 return Some(ticket);
             }
             // Concurrent charges raced past our snapshot: roll back the
             // exact units and re-examine from a fresh read.
             inner.state.sub_units(contrib_fp);
-            inner.state.end_write();
-            inner.counters.add_cas_retry();
+            inner.state.end_write(target);
+            counters.add_cas_retry();
             inner.state.read_fp_into(current_fp);
             if !tentative_feasible_fp(&inner.region, current_fp, contrib_fp, floats) {
-                inner.counters.add_fast_rejected();
+                counters.add_fast_rejected();
                 return None;
             }
         }
         // Still contended after bounded retries: reject conservatively
         // rather than ever blocking a decision.
-        inner.counters.add_rejected();
+        counters.add_rejected();
         None
     }
 
     /// Books an admission decided inside an open write section: assigns
-    /// the id, queues the entry on shard `target`'s pending ring, and
-    /// publishes the deadline hint. Must run before the section's
-    /// `end_write`, so a write-quiescent observer never sees charged
-    /// units whose entry is neither ringed nor inserted.
+    /// the id, queues the entry (taking ownership of its unit vector) on
+    /// shard `target`'s pending ring, and publishes the deadline hint.
+    /// Must run before the section's `end_write`, so a write-quiescent
+    /// observer never sees charged units whose entry is neither ringed
+    /// nor inserted.
     fn commit_lockfree(
         &self,
         target: usize,
         now: Time,
         spec: &TaskSpec,
-        contributions: &[(StageId, u64)],
+        contributions: Vec<(StageId, u64)>,
     ) -> AdmissionTicket {
         let inner = &*self.inner;
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = inner.next_id.0.fetch_add(1, Ordering::Relaxed);
         let expiry = now.saturating_add(spec.deadline);
         inner.state.push_pending(
             target,
             PendingAdmission {
                 id,
                 entry: LiveEntry {
-                    contributions: contributions.to_vec(),
+                    contributions,
                     departed: Vec::new(),
                     expiry,
                     importance: spec.importance,
@@ -635,12 +674,16 @@ where
             },
         );
         inner.state.note_deadline(target, expiry);
-        inner.counters.add_admitted();
+        inner.state.counters(target).add_admitted();
+        self.ticket(target, id, expiry)
+    }
+
+    /// Mints a ticket releasing through shard `target`'s sink.
+    fn ticket(&self, target: usize, id: u64, deadline: Time) -> AdmissionTicket {
         AdmissionTicket {
-            sink: Some(Arc::clone(&self.inner) as Arc<dyn TicketSink>),
+            sink: Some(Arc::clone(&self.sinks[target])),
             id,
-            shard: target,
-            deadline: expiry,
+            deadline,
         }
     }
 
@@ -659,35 +702,36 @@ where
         let mut shard = self.lock_shard(target);
         let expired = inner.state.expire_due(&mut shard, now);
         if expired > 0 {
-            inner.counters.add_expired(expired);
+            inner.state.counters(target).add_expired(expired);
         }
     }
 
-    /// Optimistically charges `contrib_fp` inside a write section and
-    /// keeps it only if the post-charge vector revalidates inside the
-    /// region; otherwise rolls the exact units back and retries, giving
-    /// up (`false`) after bounded attempts or as soon as a fresh read
-    /// proves the arrival infeasible. Used by the shedding path, whose
-    /// bookkeeping inserts happen under shard locks it already holds (so
-    /// nothing here takes a lock or blocks).
+    /// Optimistically charges `contrib_fp` inside a write section on
+    /// shard `lane` and keeps it only if the post-charge vector
+    /// revalidates inside the region; otherwise rolls the exact units
+    /// back and retries, giving up (`false`) after bounded attempts or as
+    /// soon as a fresh read proves the arrival infeasible. Used by the
+    /// shedding path, whose bookkeeping inserts happen under shard locks
+    /// it already holds (so nothing here takes a lock or blocks).
     fn charge_revalidated(
         &self,
+        lane: usize,
         contrib_fp: &[(StageId, u64)],
         current_fp: &mut Vec<u64>,
         floats: &mut Vec<f64>,
     ) -> bool {
         let inner = &*self.inner;
         for attempt in 0..CAS_ADMIT_RETRIES {
-            inner.state.begin_write();
+            inner.state.begin_write(lane);
             inner.state.add_units(contrib_fp);
             inner.state.read_fp_into(current_fp);
             if feasible_fp(&inner.region, current_fp, floats) {
-                inner.state.end_write();
+                inner.state.end_write(lane);
                 return true;
             }
             inner.state.sub_units(contrib_fp);
-            inner.state.end_write();
-            inner.counters.add_cas_retry();
+            inner.state.end_write(lane);
+            inner.state.counters(lane).add_cas_retry();
             if attempt + 1 < CAS_ADMIT_RETRIES {
                 inner.state.read_fp_into(current_fp);
                 if !tentative_feasible_fp(&inner.region, current_fp, contrib_fp, floats) {
@@ -708,11 +752,12 @@ where
     pub fn try_admit_or_shed(&self, spec: &TaskSpec) -> ServiceOutcome {
         let started = Instant::now();
         let inner = &*self.inner;
+        let home = self.home_shard();
+        let counters = inner.state.counters(home);
         if inner.draining.load(Ordering::Acquire) {
-            inner.counters.add_rejected();
+            counters.add_rejected();
             return ServiceOutcome::Rejected;
         }
-        let home = self.home_shard();
 
         // Slow path: take every shard (ascending) so the shedding index
         // can be scanned globally, then the gate. The clock is read after
@@ -726,7 +771,7 @@ where
             expired += inner.state.expire_due(shard, now);
         }
         if expired > 0 {
-            inner.counters.add_expired(expired);
+            counters.add_expired(expired);
         }
 
         let outcome = SCRATCH.with(|scratch| {
@@ -738,7 +783,7 @@ where
             let _gate = inner.gate.lock().expect("gate poisoned");
             inner.state.read_fp_into(&mut s.current_fp);
             if tentative_feasible_fp(&inner.region, &s.current_fp, &s.contrib_fp, &mut s.floats)
-                && self.charge_revalidated(&s.contrib_fp, &mut s.current_fp, &mut s.floats)
+                && self.charge_revalidated(home, &s.contrib_fp, &mut s.current_fp, &mut s.floats)
             {
                 drop(_gate);
                 let ticket = self.commit(&mut guards[home], home, now, spec, &s.contrib_fp);
@@ -773,14 +818,16 @@ where
                     break;
                 }
             }
-            inner.counters.add_shed(shed.len() as u64);
+            counters.add_shed(shed.len() as u64);
 
-            if fits && self.charge_revalidated(&s.contrib_fp, &mut s.current_fp, &mut s.floats) {
+            if fits
+                && self.charge_revalidated(home, &s.contrib_fp, &mut s.current_fp, &mut s.floats)
+            {
                 drop(_gate);
                 let ticket = self.commit(&mut guards[home], home, now, spec, &s.contrib_fp);
                 ServiceOutcome::AdmittedAfterShedding { ticket, shed }
             } else {
-                inner.counters.add_rejected();
+                counters.add_rejected();
                 ServiceOutcome::Rejected
             }
         });
@@ -873,17 +920,18 @@ where
     fn admit_run(&self, now: Time, run: &[BatchRequest<'_>], out: &mut Vec<ServiceOutcome>) {
         let started = Instant::now();
         let inner = &*self.inner;
+        let home = self.home_shard();
+        let counters = inner.state.counters(home);
         if inner.draining.load(Ordering::Acquire) {
-            inner.counters.add_rejected_n(run.len() as u64);
+            counters.add_rejected_n(run.len() as u64);
             for _ in run {
                 out.push(ServiceOutcome::Rejected);
             }
             return;
         }
         if !inner.fast_path {
-            return self.admit_run_locked(started, now, run, out);
+            return self.admit_run_locked(started, home, now, run, out);
         }
-        let home = self.home_shard();
         let count = inner.state.shard_count();
         let target_of = |req: &BatchRequest<'_>| req.shard.map_or(home, |s| s % count);
 
@@ -945,34 +993,38 @@ where
             let committed = if admits.is_empty() {
                 true
             } else {
-                inner.state.begin_write();
+                inner.state.begin_write(home);
                 inner.state.add_unit_vector(&s.acc_fp);
                 inner.state.read_fp_into(&mut s.combined_fp);
                 if feasible_fp(&inner.region, &s.combined_fp, &mut s.floats) {
-                    for &(i, target, ref contrib) in &admits {
+                    for (i, target, contrib) in admits {
                         tickets.push(self.commit_lockfree(target, now, run[i].spec, contrib));
                     }
-                    inner.state.end_write();
+                    inner.state.end_write(home);
                     true
                 } else {
                     inner.state.sub_unit_vector(&s.acc_fp);
-                    inner.state.end_write();
-                    inner.counters.add_cas_retry();
+                    inner.state.end_write(home);
+                    counters.add_cas_retry();
                     false
                 }
             };
 
             if committed {
                 let mut tickets = tickets.into_iter();
+                let mut rejected = 0;
                 for &ok in &verdicts {
                     if ok {
                         out.push(ServiceOutcome::Admitted(
                             tickets.next().expect("one ticket per admit verdict"),
                         ));
                     } else {
-                        inner.counters.add_fast_rejected();
+                        rejected += 1;
                         out.push(ServiceOutcome::Rejected);
                     }
+                }
+                if rejected > 0 {
+                    counters.add_fast_rejected_n(rejected);
                 }
             } else {
                 // Contention outran the run's snapshot. Nothing was
@@ -992,11 +1044,10 @@ where
         });
 
         // One wall-clock measurement spread across the run so the
-        // histogram still holds one sample per decision.
+        // histogram still holds one sample per decision, added with one
+        // RMW.
         let per = started.elapsed() / run.len() as u32;
-        for _ in run {
-            record_ns_atomic(&inner.fast_latency, per);
-        }
+        record_ns_atomic(inner.state.latency(home), per, run.len() as u64);
     }
 
     /// The locked twin of [`AdmissionService::admit_run`]
@@ -1005,12 +1056,13 @@ where
     fn admit_run_locked(
         &self,
         started: Instant,
+        home: usize,
         now: Time,
         run: &[BatchRequest<'_>],
         out: &mut Vec<ServiceOutcome>,
     ) {
         let inner = &*self.inner;
-        let home = self.home_shard();
+        let counters = inner.state.counters(home);
         let count = inner.state.shard_count();
         let target_of = |req: &BatchRequest<'_>| req.shard.map_or(home, |s| s % count);
 
@@ -1023,7 +1075,7 @@ where
             let mut shard = self.lock_shard(first_target);
             let expired = inner.state.expire_due(&mut shard, now);
             if expired > 0 {
-                inner.counters.add_expired(expired);
+                counters.add_expired(expired);
             }
             SCRATCH.with(|scratch| {
                 let s = &mut *scratch.borrow_mut();
@@ -1041,12 +1093,12 @@ where
                         &s.contrib_fp,
                         &mut s.floats,
                     ) {
-                        inner.state.charge(&s.contrib_fp);
+                        inner.state.charge(first_target, &s.contrib_fp);
                         let ticket =
                             self.commit(&mut shard, first_target, now, req.spec, &s.contrib_fp);
                         out.push(ServiceOutcome::Admitted(ticket));
                     } else {
-                        inner.counters.add_rejected();
+                        counters.add_rejected();
                         out.push(ServiceOutcome::Rejected);
                     }
                 }
@@ -1089,17 +1141,17 @@ where
                 inner.state.read_fp_into(&mut s.current_fp);
                 if tentative_feasible_fp(&inner.region, &s.current_fp, &s.contrib_fp, &mut s.floats)
                 {
-                    inner.state.charge(&s.contrib_fp);
+                    inner.state.charge(target, &s.contrib_fp);
                     let ticket = self.commit(&mut guards[g], target, now, req.spec, &s.contrib_fp);
                     out.push(ServiceOutcome::Admitted(ticket));
                 } else {
-                    inner.counters.add_rejected();
+                    counters.add_rejected();
                     out.push(ServiceOutcome::Rejected);
                 }
             }
         });
         if expired > 0 {
-            inner.counters.add_expired(expired);
+            counters.add_expired(expired);
         }
 
         // One wall-clock measurement spread across the run, each sample
@@ -1142,7 +1194,7 @@ where
             if let Some(entry) = guard.entries.remove(&id) {
                 inner.state.subtract_entry(&entry.contributions);
                 guard.by_importance.remove(&(entry.importance, id));
-                inner.counters.add_released();
+                inner.state.counters(i).add_released();
                 return true;
             }
         }
@@ -1154,7 +1206,7 @@ where
     /// without touching any shard. Kept on the service's counters so the
     /// in-process and networked views of demand agree.
     pub fn note_expired_on_arrival(&self) {
-        self.inner.counters.add_expired_on_arrival();
+        self.note_expired_on_arrival_n(1);
     }
 
     /// Batched [`AdmissionService::note_expired_on_arrival`]: charges `n`
@@ -1163,7 +1215,10 @@ where
     /// uses this so the counter costs one RMW per wake, not per corpse.
     pub fn note_expired_on_arrival_n(&self, n: u64) {
         if n > 0 {
-            self.inner.counters.add_expired_on_arrival_n(n);
+            self.inner
+                .state
+                .counters(self.home_shard())
+                .add_expired_on_arrival_n(n);
         }
     }
 
@@ -1178,10 +1233,11 @@ where
             let mut shard = self.lock_shard(i);
             // Clock read under the lock, so this wheel never rewinds.
             let now = inner.clock.now();
-            expired += inner.state.expire_due(&mut shard, now);
-        }
-        if expired > 0 {
-            inner.counters.add_expired(expired);
+            let n = inner.state.expire_due(&mut shard, now);
+            if n > 0 {
+                inner.state.counters(i).add_expired(n);
+            }
+            expired += n;
         }
         expired
     }
@@ -1197,7 +1253,7 @@ where
             let now = inner.clock.now();
             let expired = inner.state.expire_due(&mut shard, now);
             if expired > 0 {
-                inner.counters.add_expired(expired);
+                inner.state.counters(i).add_expired(expired);
             }
             let shard = &mut *shard;
             let mut emptied: Vec<u64> = Vec::new();
@@ -1251,7 +1307,10 @@ where
             // shows how often stable readers actually contend with the
             // CAS-admit path (decision paths use plain reads and never
             // spin here).
-            self.inner.counters.add_seqlock_fallback();
+            self.inner
+                .state
+                .counters(self.home_shard())
+                .add_seqlock_fallback();
             spins += 1;
             if spins.is_multiple_of(64) {
                 std::thread::yield_now();
@@ -1274,9 +1333,9 @@ where
             .sum()
     }
 
-    /// Decision counters (lock-free).
+    /// Decision counters, summed over the shards (lock-free).
     pub fn counters(&self) -> CounterSnapshot {
-        self.inner.counters.snapshot()
+        self.inner.state.counter_snapshot()
     }
 
     /// A full metrics snapshot: counters, merged decision-latency
@@ -1290,12 +1349,12 @@ where
             latency.merge(&shard.latency);
             live += shard.entries.len();
         }
-        // Decisions concluded lock-free recorded their latency in the
-        // shared atomic histogram; fold it in so histogram counts still
-        // equal decision counts.
-        self.inner.fast_latency.merge_into(&mut latency);
+        // Decisions concluded lock-free recorded their latency in their
+        // shard's atomic histogram; fold those in so histogram counts
+        // still equal decision counts.
+        self.inner.state.merge_latency_into(&mut latency);
         MetricsSnapshot {
-            counters: self.inner.counters.snapshot(),
+            counters: self.counters(),
             decision_latency: latency,
             utilizations: self.utilizations(),
             live_tasks: live,
@@ -1359,7 +1418,7 @@ where
         contributions: &[(StageId, u64)],
     ) -> AdmissionTicket {
         let inner = &*self.inner;
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = inner.next_id.0.fetch_add(1, Ordering::Relaxed);
         let expiry = now.saturating_add(spec.deadline);
         shard.entries.insert(
             id,
@@ -1375,45 +1434,42 @@ where
         // Publish the deadline to the lock-free path's next-due hint so
         // snapshot decisions stop as soon as this entry's decrement is due.
         inner.state.note_deadline(shard_idx, expiry);
-        inner.counters.add_admitted();
-        AdmissionTicket {
-            sink: Some(Arc::clone(&self.inner) as Arc<dyn TicketSink>),
-            id,
-            shard: shard_idx,
-            deadline: expiry,
-        }
+        inner.state.counters(shard_idx).add_admitted();
+        self.ticket(shard_idx, id, expiry)
     }
 }
 
-impl<R, M, C> TicketSink for Inner<R, M, C>
+impl<R, M, C> TicketSink for ShardSink<R, M, C>
 where
-    R: RegionTest + Send + Sync + 'static,
-    M: ContributionModel + Send + Sync + 'static,
-    C: Clock + 'static,
+    R: Send + Sync,
+    M: Send + Sync,
+    C: Send + Sync,
 {
-    fn release_ticket(&self, shard: usize, id: u64) {
-        let mut guard = self.state.shard(shard).lock().expect("shard poisoned");
+    fn release_ticket(&self, id: u64) {
+        let state = &self.inner.state;
+        let mut guard = state.shard(self.shard).lock().expect("shard poisoned");
         // The released entry may still sit on the pending ring; if the
         // drain catches it there, release it directly — its structural
         // bookkeeping never needs to exist (the admit-then-release hot
         // path).
-        if let Some(entry) = self.state.drain_pending_intercept(&mut guard, id) {
-            self.state.subtract_entry(&entry.contributions);
-            self.counters.add_released();
+        if let Some(entry) = state.drain_pending_intercept(&mut guard, id) {
+            state.subtract_entry(&entry.contributions);
+            state.counters(self.shard).add_released();
             return;
         }
         // Exactly-once versus deadline expiry and shedding: whoever
         // removes the map entry owns the subtraction.
         if let Some(entry) = guard.entries.remove(&id) {
-            self.state.subtract_entry(&entry.contributions);
+            state.subtract_entry(&entry.contributions);
             guard.by_importance.remove(&(entry.importance, id));
-            self.counters.add_released();
+            state.counters(self.shard).add_released();
         }
     }
 
-    fn depart_ticket(&self, shard: usize, id: u64, stage: StageId) {
-        let mut guard = self.state.shard(shard).lock().expect("shard poisoned");
-        self.state.drain_pending(&mut guard);
+    fn depart_ticket(&self, id: u64, stage: StageId) {
+        let state = &self.inner.state;
+        let mut guard = state.shard(self.shard).lock().expect("shard poisoned");
+        state.drain_pending(&mut guard);
         if let Some(entry) = guard.entries.get_mut(&id) {
             // The flags allocate lazily: empty means all-false.
             if entry.departed.is_empty() {

@@ -7,26 +7,35 @@
 //!   [`frap_core::fixed`] binary units (1 unit = 2⁻⁵³ utilization).
 //!   Integer units make every add/subtract exact in any interleaving:
 //!   optimistic charges roll back bit-identically, and a fully released
-//!   stage reads exactly the floor with no pinning pass.
-//! * **Per-shard bookkeeping** — a mutex-protected [`Shard`] holding the
-//!   live-entry map (which task charged what, where), the shard's
-//!   [`TimerWheel`] of deadline decrements, an importance-ordered shedding
-//!   index, and the shard's slice of the decision-latency histogram —
-//!   plus a lock-free [`MpscRing`] of admissions whose bookkeeping has
-//!   been decided but not yet inserted (DESIGN.md §16). Threads are
-//!   spread across shards round-robin, so shard mutexes are effectively
-//!   uncontended.
+//!   stage reads exactly the floor with no pinning pass. These are the
+//!   only lines every decision on every shard writes.
+//! * **One cache-aligned block per shard** holding everything else a
+//!   decision, release or drain on that shard writes: its write-section
+//!   pair (`writers_begin`/`writers_end`), its next-due hint, a lock-free
+//!   [`MpscRing`] of admissions whose bookkeeping has been decided but
+//!   not yet inserted (DESIGN.md §16), its decision counters
+//!   ([`ServiceCounters`]), its histogram of lock-free decision
+//!   latencies, and the mutex-protected [`Shard`]: the live-entry map
+//!   (which task charged what, where), the [`TimerWheel`] of deadline
+//!   decrements, an importance-ordered shedding index, and the locked
+//!   paths' latency histogram. Threads are spread across shards
+//!   round-robin, so a thread's read-modify-writes stay on its own
+//!   shard's lines and shard mutexes are effectively uncontended.
+//!   Readers ([`ShardedUtilization::counter_snapshot`], the stable
+//!   snapshots, the validator) sum or check over every shard.
 //!
 //! Consistency rules (proved out by the concurrency and CAS-stress
 //! tests):
 //!
 //! * **Charges are bracketed write sections.** A charging thread bumps
-//!   `writers_begin`, performs its per-stage `fetch_add`s (and, when
-//!   admitting, its revalidation read and pending-ring push), then bumps
-//!   `writers_end`. Multiple charges may overlap — there is no gate or
-//!   mutex on the add side. [`ShardedUtilization::snapshot_fp_into`]
-//!   reads the vector without any lock and reports whether any write
-//!   section overlapped the read.
+//!   one shard's `writers_begin` (the shard it books on or runs from),
+//!   performs its per-stage `fetch_add`s (and, when admitting, its
+//!   revalidation read and pending-ring push), then bumps the same
+//!   shard's `writers_end`. Multiple charges may overlap — there is no
+//!   gate or mutex on the add side.
+//!   [`ShardedUtilization::snapshot_fp_into`] reads the vector without
+//!   any lock and reports whether a write section on any shard
+//!   overlapped the read.
 //! * **Reductions (deadline expiry, release, shed, idle reset) happen
 //!   under the owning shard's mutex** and do *not* bump the write
 //!   counters: a snapshot missing a concurrent reduction is merely
@@ -47,10 +56,11 @@
 //!   the locked path would have applied. Commits lower the hint with
 //!   `fetch_min`; drains refresh it from the wheel under the shard lock.
 
+use crate::metrics::{CounterSnapshot, ServiceCounters};
 use crate::ring::{MpscRing, PENDING_RING_CAPACITY};
 use crate::wheel::TimerWheel;
 use frap_core::fixed::{fp_from_utilization, utilization_from_fp};
-use frap_core::hist::LatencyHistogram;
+use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
 use frap_core::task::{Importance, StageId};
 use frap_core::time::Time;
 use std::collections::{BTreeSet, HashMap};
@@ -115,7 +125,7 @@ pub struct Shard {
     pub wheel: TimerWheel,
     /// Shedding index, ascending `(importance, ticket)`.
     pub by_importance: BTreeSet<(Importance, u64)>,
-    /// This shard's slice of the decision-latency histogram
+    /// Latencies of the decisions the locked paths took on this shard
     /// (nanosecond-valued; see `metrics`).
     pub latency: LatencyHistogram,
     /// Scratch buffer for wheel drains.
@@ -124,6 +134,35 @@ pub struct Shard {
     /// locked drain can refresh the matching next-due hint and drain the
     /// matching pending ring.
     index: usize,
+}
+
+/// Everything one shard's decisions, releases and drains write, in one
+/// cache-aligned block: no two shards share a line, so a thread that
+/// books on its own shard performs every read-modify-write of a decision
+/// on lines no other shard's thread writes — the per-stage totals
+/// excepted.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Lane {
+    /// Write sections opened on this shard (bumped before a charge's
+    /// first add).
+    writers_begin: AtomicU64,
+    /// Write sections closed on this shard (bumped after the charge is
+    /// fully applied, revalidated, and — for lock-free admits —
+    /// ring-pushed).
+    writers_end: AtomicU64,
+    /// Lower bound (µs) on the earliest pending deadline decrement;
+    /// `u64::MAX` when the shard's wheel is known empty.
+    next_due: AtomicU64,
+    /// Decided-but-uninserted admissions.
+    pending: MpscRing<PendingAdmission>,
+    /// Decision, release and expiry counters of this shard.
+    counters: ServiceCounters,
+    /// Latency of the decisions concluded lock-free on this shard
+    /// (nanosecond-valued; see `metrics`).
+    latency: AtomicLatencyHistogram,
+    /// The structural bookkeeping.
+    shard: Mutex<Shard>,
 }
 
 /// Per-stage synthetic-utilization counters sharded across worker threads.
@@ -135,17 +174,8 @@ pub struct ShardedUtilization {
     floors_fp: Vec<u64>,
     /// Live contribution units above the floor, one per stage.
     totals: Vec<CachePadded<AtomicU64>>,
-    /// Write sections opened (bumped before a charge's first add).
-    writers_begin: CachePadded<AtomicU64>,
-    /// Write sections closed (bumped after the charge is fully applied,
-    /// revalidated, and — for lock-free admits — ring-pushed).
-    writers_end: CachePadded<AtomicU64>,
-    /// Per-shard lower bound (µs) on the earliest pending deadline
-    /// decrement; `u64::MAX` when the shard's wheel is known empty.
-    next_due: Vec<CachePadded<AtomicU64>>,
-    /// Per-shard rings of decided-but-uninserted admissions.
-    pending: Vec<MpscRing<PendingAdmission>>,
-    shards: Vec<Mutex<Shard>>,
+    /// One block per shard.
+    lanes: Vec<Lane>,
 }
 
 impl ShardedUtilization {
@@ -170,24 +200,22 @@ impl ShardedUtilization {
             floors: floors.to_vec(),
             floors_fp: floors.iter().map(|&f| fp_from_utilization(f)).collect(),
             totals: floors.iter().map(|_| CachePadded::default()).collect(),
-            writers_begin: CachePadded::default(),
-            writers_end: CachePadded::default(),
-            next_due: (0..shards)
-                .map(|_| CachePadded(AtomicU64::new(u64::MAX)))
-                .collect(),
-            pending: (0..shards)
-                .map(|_| MpscRing::with_capacity(PENDING_RING_CAPACITY))
-                .collect(),
-            shards: (0..shards)
-                .map(|index| {
-                    Mutex::new(Shard {
+            lanes: (0..shards)
+                .map(|index| Lane {
+                    writers_begin: AtomicU64::new(0),
+                    writers_end: AtomicU64::new(0),
+                    next_due: AtomicU64::new(u64::MAX),
+                    pending: MpscRing::with_capacity(PENDING_RING_CAPACITY),
+                    counters: ServiceCounters::default(),
+                    latency: AtomicLatencyHistogram::new(),
+                    shard: Mutex::new(Shard {
                         entries: HashMap::new(),
                         wheel: TimerWheel::new(start),
                         by_importance: BTreeSet::new(),
                         latency: LatencyHistogram::new(),
                         drained: Vec::new(),
                         index,
-                    })
+                    }),
                 })
                 .collect(),
         }
@@ -200,7 +228,7 @@ impl ShardedUtilization {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.lanes.len()
     }
 
     /// The reservation floors.
@@ -211,7 +239,30 @@ impl ShardedUtilization {
     /// The shard mutexes (lock in ascending index order; the admission
     /// gate, if needed, is always acquired after every shard lock).
     pub fn shard(&self, index: usize) -> &Mutex<Shard> {
-        &self.shards[index]
+        &self.lanes[index].shard
+    }
+
+    /// Shard `index`'s decision counters.
+    pub fn counters(&self, index: usize) -> &ServiceCounters {
+        &self.lanes[index].counters
+    }
+
+    /// Shard `index`'s histogram of lock-free decision latencies
+    /// (nanosecond-valued).
+    pub fn latency(&self, index: usize) -> &AtomicLatencyHistogram {
+        &self.lanes[index].latency
+    }
+
+    /// Every shard's counters, summed.
+    pub fn counter_snapshot(&self) -> CounterSnapshot {
+        self.lanes.iter().map(|l| l.counters.snapshot()).sum()
+    }
+
+    /// Adds every shard's lock-free latency histogram into `out`.
+    pub fn merge_latency_into(&self, out: &mut LatencyHistogram) {
+        for lane in &self.lanes {
+            lane.latency.merge_into(out);
+        }
     }
 
     /// Reads the aggregate utilization vector into `out` as `f64`: floor
@@ -235,47 +286,81 @@ impl ShardedUtilization {
         }
     }
 
+    /// First half of a stable cut: reads every shard's `writers_end`
+    /// then `writers_begin`. Returns whether every shard's pair was
+    /// equal — no section open on any shard at its `begin` read — and
+    /// the sum of the `begin`s for [`ShardedUtilization::sections_unchanged`].
+    fn sections_closed(&self) -> (bool, u64) {
+        let mut closed = true;
+        let mut begun = 0u64;
+        for lane in &self.lanes {
+            let end = lane.writers_end.load(Ordering::SeqCst);
+            let begin = lane.writers_begin.load(Ordering::SeqCst);
+            closed &= begin == end;
+            begun = begun.wrapping_add(begin);
+        }
+        (closed, begun)
+    }
+
+    /// Second half of a stable cut: no shard opened a section since
+    /// [`ShardedUtilization::sections_closed`] summed `begun`. Each
+    /// `writers_begin` only grows, so an equal sum means every one is
+    /// unchanged.
+    fn sections_unchanged(&self, begun: u64) -> bool {
+        let now = self.lanes.iter().fold(0u64, |acc, l| {
+            acc.wrapping_add(l.writers_begin.load(Ordering::SeqCst))
+        });
+        now == begun
+    }
+
     /// Attempts a **write-stable** unit snapshot: fills `out` like
     /// [`ShardedUtilization::read_fp_into`] and returns whether no write
-    /// section overlapped the read. A stable snapshot contains no
-    /// in-flight (possibly-rolled-back) optimistic charge. An unstable
-    /// ("torn") snapshot is still a vector of genuinely-held counter
-    /// values — usable for a conservative rejection, never for an
-    /// unrevalidated admit.
+    /// section on any shard overlapped the read. A stable snapshot
+    /// contains no in-flight (possibly-rolled-back) optimistic charge.
+    /// An unstable ("torn") snapshot is still a vector of genuinely-held
+    /// counter values — usable for a conservative rejection, never for
+    /// an unrevalidated admit.
+    ///
+    /// The cut reads every shard's `writers_end` then `writers_begin`,
+    /// then the totals, then re-checks every `writers_begin`: each shard
+    /// had no section open at its `begin` read and opened none until the
+    /// re-check, so none was open while the totals were read (DESIGN.md
+    /// §16).
     ///
     /// Reductions do not participate in the write counters, so even a
     /// stable snapshot may be missing concurrent subtractions — i.e. it
     /// is stale-*high*, which the monotone region test renders
     /// conservative.
     pub fn snapshot_fp_into(&self, out: &mut Vec<u64>) -> bool {
-        let end = self.writers_end.0.load(Ordering::SeqCst);
-        let begin = self.writers_begin.0.load(Ordering::SeqCst);
+        let (closed, begun) = self.sections_closed();
         self.read_fp_into(out);
-        begin == end && self.writers_begin.0.load(Ordering::SeqCst) == begin
+        closed && self.sections_unchanged(begun)
     }
 
     /// [`ShardedUtilization::snapshot_fp_into`] converted to `f64`.
     pub fn snapshot_into(&self, out: &mut Vec<f64>) -> bool {
-        let end = self.writers_end.0.load(Ordering::SeqCst);
-        let begin = self.writers_begin.0.load(Ordering::SeqCst);
+        let (closed, begun) = self.sections_closed();
         self.read_into(out);
-        begin == end && self.writers_begin.0.load(Ordering::SeqCst) == begin
+        closed && self.sections_unchanged(begun)
     }
 
-    /// Opens a write section: concurrent snapshot attempts report torn
-    /// until the matching [`ShardedUtilization::end_write`].
+    /// Opens a write section on shard `index`: concurrent snapshot
+    /// attempts report torn until the matching
+    /// [`ShardedUtilization::end_write`] on the same shard.
     #[inline]
-    pub fn begin_write(&self) {
-        self.writers_begin.0.fetch_add(1, Ordering::SeqCst);
+    pub fn begin_write(&self, index: usize) {
+        self.lanes[index]
+            .writers_begin
+            .fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Closes a write section. Every unit added inside the section must
-    /// either stay (the charge committed — and for lock-free admits, the
-    /// pending-ring push completed) or have been subtracted back (exact
-    /// rollback) before this call.
+    /// Closes a write section opened on shard `index`. Every unit added
+    /// inside the section must either stay (the charge committed — and
+    /// for lock-free admits, the pending-ring push completed) or have
+    /// been subtracted back (exact rollback) before this call.
     #[inline]
-    pub fn end_write(&self) {
-        self.writers_end.0.fetch_add(1, Ordering::SeqCst);
+    pub fn end_write(&self, index: usize) {
+        self.lanes[index].writers_end.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Adds merged per-stage unit demands. Must be called inside a write
@@ -320,22 +405,27 @@ impl ShardedUtilization {
     }
 
     /// A gate-held charge for the fully locked decision path: one whole
-    /// write section around the adds. The caller guarantees (by holding
-    /// the admission gate on a locked-path service) that the post-charge
-    /// vector was validated before calling.
-    pub fn charge(&self, contributions: &[(StageId, u64)]) {
-        self.begin_write();
+    /// write section on shard `index` around the adds. The caller
+    /// guarantees (by holding the admission gate on a locked-path
+    /// service) that the post-charge vector was validated before calling.
+    pub fn charge(&self, index: usize, contributions: &[(StageId, u64)]) {
+        self.begin_write(index);
         self.add_units(contributions);
-        self.end_write();
+        self.end_write(index);
     }
 
-    /// A charge that pauses between the first stage's add and the rest,
-    /// so the torn-read test can deterministically catch a reader mid
-    /// charge. Same write-section protocol as
+    /// A charge on shard `index` that pauses between the first stage's
+    /// add and the rest, so the torn-read test can deterministically
+    /// catch a reader mid charge. Same write-section protocol as
     /// [`ShardedUtilization::charge`].
     #[cfg(test)]
-    pub fn torn_charge_for_test(&self, contributions: &[(StageId, u64)], pause: impl FnOnce()) {
-        self.begin_write();
+    pub fn torn_charge_for_test(
+        &self,
+        index: usize,
+        contributions: &[(StageId, u64)],
+        pause: impl FnOnce(),
+    ) {
+        self.begin_write(index);
         let (first, rest) = contributions.split_first().expect("non-empty charge");
         self.totals[first.0.index()]
             .0
@@ -346,7 +436,7 @@ impl ShardedUtilization {
                 .0
                 .fetch_add(units, Ordering::SeqCst);
         }
-        self.end_write();
+        self.end_write(index);
     }
 
     /// Queues a decided admission for insertion into shard `index`'s
@@ -359,7 +449,7 @@ impl ShardedUtilization {
     pub fn push_pending(&self, index: usize, pending: PendingAdmission) {
         let mut pending = pending;
         loop {
-            match self.pending[index].try_push(pending) {
+            match self.lanes[index].pending.try_push(pending) {
                 Ok(()) => return,
                 Err(back) => pending = back,
             }
@@ -367,7 +457,7 @@ impl ShardedUtilization {
             // non-blocking — if another thread holds the shard it is
             // already draining (every locked entry op drains first), so
             // spinning on the push is productive.
-            if let Ok(mut shard) = self.shards[index].try_lock() {
+            if let Ok(mut shard) = self.lanes[index].shard.try_lock() {
                 self.drain_pending(&mut shard);
                 Self::insert_entry_locked(&mut shard, pending);
                 return;
@@ -379,7 +469,7 @@ impl ShardedUtilization {
     /// Applies every queued pending admission on a locked shard. Called
     /// first by every shard-locked entry operation.
     pub fn drain_pending(&self, shard: &mut Shard) {
-        while let Some(p) = self.pending[shard.index].try_pop() {
+        while let Some(p) = self.lanes[shard.index].pending.try_pop() {
             Self::insert_entry_locked(shard, p);
         }
     }
@@ -393,7 +483,7 @@ impl ShardedUtilization {
     /// wheel slot is left behind either.
     pub fn drain_pending_intercept(&self, shard: &mut Shard, target: u64) -> Option<LiveEntry> {
         let mut intercepted = None;
-        while let Some(p) = self.pending[shard.index].try_pop() {
+        while let Some(p) = self.lanes[shard.index].pending.try_pop() {
             if p.id == target {
                 intercepted = Some(p.entry);
             } else {
@@ -414,8 +504,8 @@ impl ShardedUtilization {
     /// Called on every commit, at decision time (not ring-drain time), so
     /// snapshot decisions stop as soon as a pending decrement comes due.
     pub fn note_deadline(&self, index: usize, expiry: Time) {
-        self.next_due[index]
-            .0
+        self.lanes[index]
+            .next_due
             .fetch_min(expiry.as_micros(), Ordering::SeqCst);
     }
 
@@ -423,7 +513,7 @@ impl ShardedUtilization {
     /// earliest deadline decrement a locked drain of that shard could
     /// apply. `u64::MAX` means the wheel is known empty.
     pub fn shard_next_due(&self, index: usize) -> u64 {
-        self.next_due[index].0.load(Ordering::SeqCst)
+        self.lanes[index].next_due.load(Ordering::SeqCst)
     }
 
     /// Subtracts one entry's remaining contributions. Safe without any
@@ -455,6 +545,7 @@ impl ShardedUtilization {
     /// `(expiry, ticket)` order. Returns the number of entries expired.
     pub fn expire_due(&self, shard: &mut Shard, now: Time) -> u64 {
         self.drain_pending(shard);
+        let next_due = &self.lanes[shard.index].next_due;
         // Batch decisions hoist one clock read per batch, so `now` may
         // predate advances applied by interleaved per-request decisions;
         // a zero-width advance is legal and still surfaces due entries.
@@ -462,10 +553,8 @@ impl ShardedUtilization {
         if shard.wheel.cursor() >= now && shard.wheel.is_empty() {
             // Still heal a stale hint, or the fast path would stay
             // disabled for this shard until its next real drain.
-            if self.next_due[shard.index].0.load(Ordering::SeqCst) <= now.as_micros() {
-                self.next_due[shard.index]
-                    .0
-                    .store(u64::MAX, Ordering::SeqCst);
+            if next_due.load(Ordering::SeqCst) <= now.as_micros() {
+                next_due.store(u64::MAX, Ordering::SeqCst);
             }
             return 0;
         }
@@ -489,7 +578,7 @@ impl ShardedUtilization {
         // (admission-heavy churn, where lazy-deleted released entries
         // also pile up) gets `now + 1` instead: the cheapest valid lower
         // bound, since everything due ≤ `now` was drained above.
-        if self.next_due[shard.index].0.load(Ordering::SeqCst) <= now.as_micros() {
+        if next_due.load(Ordering::SeqCst) <= now.as_micros() {
             let refreshed = if shard.wheel.len() <= HINT_SCAN_LIMIT {
                 shard
                     .wheel
@@ -499,22 +588,20 @@ impl ShardedUtilization {
             } else {
                 now.as_micros() + 1
             };
-            self.next_due[shard.index]
-                .0
-                .store(refreshed, Ordering::SeqCst);
+            next_due.store(refreshed, Ordering::SeqCst);
         }
         expired
     }
 
     /// Validates the counters against the (already locked) shards inside
-    /// a **write-quiescent window**: reads `writers_end` then
-    /// `writers_begin`, captures the totals, folds every admission still
-    /// queued on a pending ring into its shard and into the expected
-    /// sums, and confirms no write section opened meanwhile. Every
-    /// charged unit outside a write section belongs to an entry or to a
-    /// ringed admission, and the window admits neither charges nor ring
-    /// pushes; with every shard lock held by the caller, reductions are
-    /// excluded too. So the captured cut is frozen and the comparison —
+    /// a **write-quiescent window**: reads every shard's `writers_end`
+    /// then `writers_begin`, captures the totals, folds every admission
+    /// still queued on a pending ring into its shard and into the
+    /// expected sums, and confirms no shard opened a write section
+    /// meanwhile. Every charged unit outside a write section belongs to
+    /// an entry or to a ringed admission, and the window admits neither
+    /// charges nor ring pushes; with every shard lock held by the caller,
+    /// reductions are excluded too. So the captured cut is frozen and the comparison —
     /// totals against entries plus ringed contributions — is **exact**
     /// (integer equality, no tolerance).
     ///
@@ -538,22 +625,21 @@ impl ShardedUtilization {
             }
         }
         for _ in 0..VALIDATE_ATTEMPTS {
-            let end = self.writers_end.0.load(Ordering::SeqCst);
-            let begin = self.writers_begin.0.load(Ordering::SeqCst);
+            let (closed, begun) = self.sections_closed();
             let observed: Vec<u64> = self
                 .totals
                 .iter()
                 .map(|t| t.0.load(Ordering::SeqCst))
                 .collect();
             for shard in shards.iter_mut() {
-                while let Some(p) = self.pending[shard.index].try_pop() {
+                while let Some(p) = self.lanes[shard.index].pending.try_pop() {
                     for &(stage, units) in &p.entry.contributions {
                         sums[stage.index()] += units;
                     }
                     Self::insert_entry_locked(shard, p);
                 }
             }
-            if begin != end || self.writers_begin.0.load(Ordering::SeqCst) != begin {
+            if !closed || !self.sections_unchanged(begun) {
                 std::thread::yield_now();
                 continue;
             }
@@ -614,7 +700,7 @@ mod tests {
     fn charge_and_subtract_roundtrip_is_exact() {
         let su = ShardedUtilization::new(&[0.1, 0.0], 2, Time::ZERO);
         let contrib = vec![(stage(0), fp(0.2)), (stage(1), fp(0.3))];
-        su.charge(&contrib);
+        su.charge(0, &contrib);
         let mut v = Vec::new();
         su.read_into(&mut v);
         assert!((v[0] - 0.3).abs() < 1e-12);
@@ -633,13 +719,13 @@ mod tests {
     fn rollback_is_bit_identical() {
         let su = ShardedUtilization::new(&[0.05, 0.0, 0.25], 1, Time::ZERO);
         let mut before = Vec::new();
-        su.charge(&[(stage(0), fp(0.125)), (stage(2), 3)]);
+        su.charge(0, &[(stage(0), fp(0.125)), (stage(2), 3)]);
         su.read_fp_into(&mut before);
         let contrib = vec![(stage(0), fp(0.3)), (stage(1), 7), (stage(2), fp(0.01))];
-        su.begin_write();
+        su.begin_write(0);
         su.add_units(&contrib);
         su.sub_units(&contrib);
-        su.end_write();
+        su.end_write(0);
         let mut after = Vec::new();
         su.read_fp_into(&mut after);
         assert_eq!(before, after, "rollback must restore the exact units");
@@ -656,7 +742,7 @@ mod tests {
         {
             let mut sh = su.shard(0).lock().unwrap();
             for id in 0..4u64 {
-                su.charge(&c);
+                su.charge(0, &c);
                 sh.entries
                     .insert(id, entry(c.clone(), Time::from_micros(10 + id)));
                 sh.wheel.insert(Time::from_micros(10 + id), id);
@@ -680,7 +766,7 @@ mod tests {
     #[test]
     fn snapshot_matches_read_when_quiescent() {
         let su = ShardedUtilization::new(&[0.05, 0.0, 0.1], 2, Time::ZERO);
-        su.charge(&[(stage(0), fp(0.2)), (stage(2), fp(0.3))]);
+        su.charge(0, &[(stage(0), fp(0.2)), (stage(2), fp(0.3))]);
         let mut read = Vec::new();
         su.read_fp_into(&mut read);
         let mut snap = Vec::new();
@@ -695,28 +781,41 @@ mod tests {
     #[test]
     fn torn_charge_is_detected_by_the_write_counters() {
         use std::sync::mpsc;
-        let su = std::sync::Arc::new(ShardedUtilization::new(&[0.0, 0.0], 1, Time::ZERO));
-        let (in_pause_tx, in_pause_rx) = mpsc::channel::<()>();
-        let (resume_tx, resume_rx) = mpsc::channel::<()>();
-        let writer = {
-            let su = std::sync::Arc::clone(&su);
-            std::thread::spawn(move || {
-                su.torn_charge_for_test(&[(stage(0), fp(0.25)), (stage(1), fp(0.5))], || {
-                    in_pause_tx.send(()).unwrap();
-                    resume_rx.recv().unwrap();
-                });
-            })
-        };
-        // The writer is parked mid-charge: the first stage's add is
-        // published, the second's is not. A lock-free reader must see the
-        // open write section and report the snapshot torn.
-        in_pause_rx.recv().unwrap();
-        let mut snap = Vec::new();
-        assert!(!su.snapshot_fp_into(&mut snap), "torn read went undetected");
-        resume_tx.send(()).unwrap();
-        writer.join().unwrap();
-        assert!(su.snapshot_fp_into(&mut snap));
-        assert_eq!(snap, vec![fp(0.25), fp(0.5)]);
+        // The section is open on each shard of two in turn: a snapshot
+        // that checked only one shard's pair would miss the other's.
+        for open_on in [1, 0] {
+            let su = std::sync::Arc::new(ShardedUtilization::new(&[0.0, 0.0], 2, Time::ZERO));
+            let (in_pause_tx, in_pause_rx) = mpsc::channel::<()>();
+            let (resume_tx, resume_rx) = mpsc::channel::<()>();
+            let writer = {
+                let su = std::sync::Arc::clone(&su);
+                std::thread::spawn(move || {
+                    su.torn_charge_for_test(
+                        open_on,
+                        &[(stage(0), fp(0.25)), (stage(1), fp(0.5))],
+                        || {
+                            in_pause_tx.send(()).unwrap();
+                            resume_rx.recv().unwrap();
+                        },
+                    );
+                })
+            };
+            // The writer is parked mid-charge: the first stage's add is
+            // published, the second's is not. A lock-free reader must see
+            // the open write section and report the snapshot torn.
+            in_pause_rx.recv().unwrap();
+            let mut snap = Vec::new();
+            assert!(
+                !su.snapshot_fp_into(&mut snap),
+                "torn read on shard {open_on} went undetected"
+            );
+            let mut floats = Vec::new();
+            assert!(!su.snapshot_into(&mut floats));
+            resume_tx.send(()).unwrap();
+            writer.join().unwrap();
+            assert!(su.snapshot_fp_into(&mut snap));
+            assert_eq!(snap, vec![fp(0.25), fp(0.5)]);
+        }
     }
 
     #[test]
@@ -724,12 +823,15 @@ mod tests {
         let su = ShardedUtilization::new(&[0.0; 4], 1, Time::ZERO);
         for i in 1..=16u64 {
             let units = i * 1024;
-            su.charge(&[
-                (stage(0), units),
-                (stage(1), 2 * units),
-                (stage(2), 3 * units),
-                (stage(3), 4 * units),
-            ]);
+            su.charge(
+                0,
+                &[
+                    (stage(0), units),
+                    (stage(1), 2 * units),
+                    (stage(2), 3 * units),
+                    (stage(3), 4 * units),
+                ],
+            );
             let mut snap = Vec::new();
             assert!(su.snapshot_fp_into(&mut snap));
             // Proportions prove no partial charge is ever visible to a
@@ -744,7 +846,7 @@ mod tests {
     fn pending_ring_defers_inserts_until_a_locked_drain() {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         let c = vec![(stage(0), fp(0.25))];
-        su.begin_write();
+        su.begin_write(0);
         su.add_units(&c);
         su.push_pending(
             0,
@@ -753,7 +855,7 @@ mod tests {
                 entry: entry(c.clone(), Time::from_micros(100)),
             },
         );
-        su.end_write();
+        su.end_write(0);
         su.note_deadline(0, Time::from_micros(100));
         {
             let sh = su.shard(0).lock().unwrap();
@@ -785,7 +887,7 @@ mod tests {
         // Overfill: every push must land regardless of ring capacity.
         let n = (PENDING_RING_CAPACITY + 10) as u64;
         for id in 0..n {
-            su.begin_write();
+            su.begin_write(0);
             su.add_units(&c);
             su.push_pending(
                 0,
@@ -794,7 +896,7 @@ mod tests {
                     entry: entry(c.clone(), Time::from_micros(1_000 + id)),
                 },
             );
-            su.end_write();
+            su.end_write(0);
         }
         let mut sh = su.shard(0).lock().unwrap();
         su.drain_pending(&mut sh);
@@ -811,7 +913,7 @@ mod tests {
         {
             let mut sh = su.shard(0).lock().unwrap();
             for (id, expiry) in [(1u64, 500u64), (2, 300), (3, 900)] {
-                su.charge(&c);
+                su.charge(0, &c);
                 sh.entries
                     .insert(id, entry(c.clone(), Time::from_micros(expiry)));
                 sh.wheel.insert(Time::from_micros(expiry), id);
@@ -849,7 +951,7 @@ mod tests {
         sh.wheel.insert(Time::from_micros(50), 1);
         sh.entries
             .insert(1, entry(vec![(stage(0), fp(0.1))], Time::from_micros(50)));
-        su.charge(&[(stage(0), fp(0.1))]);
+        su.charge(0, &[(stage(0), fp(0.1))]);
         sh.by_importance.insert((Importance::LOWEST, 1));
         let mut out = Vec::new();
         sh.wheel.advance(Time::from_micros(200), &mut out);

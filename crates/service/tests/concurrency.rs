@@ -314,7 +314,7 @@ fn lock_free_rejects_race_admissions_without_spurious_verdicts() {
     let c = snap.counters;
 
     // Exactly one decision per attempt, and one latency sample per
-    // decision — the fast path's shared atomic histogram included.
+    // decision — every shard's atomic histogram included.
     assert_eq!(
         c.decisions(),
         attempts as u64,
@@ -396,4 +396,130 @@ fn concurrent_idle_resets_stay_consistent() {
         w.join().unwrap();
     }
     service.debug_validate();
+}
+
+/// Per-shard accounting under threads: 4 threads on a 4-shard service
+/// mix single admits, always-infeasible rejects, releases, detaches and
+/// shard-targeted batches, while the main thread validates. Every
+/// counter lives in its shard's block, so the service-wide figures are
+/// sums over shards; they must equal what the threads counted call by
+/// call, the histogram must hold one sample per decision, and every
+/// admission must be released, expired or still live — exactly.
+#[test]
+fn per_shard_counters_sum_to_the_calls_made() {
+    use frap_service::BatchRequest;
+    const THREADS: usize = 4;
+    const ITERS: usize = 8_000;
+
+    /// What one thread did, call by call.
+    #[derive(Default)]
+    struct Calls {
+        decisions: u64,
+        admitted: u64,
+        rejected: u64,
+        released: u64,
+        detached: u64,
+    }
+
+    let service = AdmissionService::builder(
+        FeasibleRegion::deadline_monotonic(STAGES),
+        ExactContributions,
+    )
+    .shards(THREADS)
+    .build();
+    // Deadlines far beyond the run: nothing expires, so every release
+    // call finds its entry live and counts as a release.
+    let long = TimeDelta::from_secs(600);
+    let small = TaskSpec::pipeline(long, &[ms(2_000), ms(1_000), ms(3_000)]).unwrap();
+    let poison = TaskSpec::pipeline(ms(10), &[ms(5), ms(5), ms(5)]).unwrap();
+
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let service = service.clone();
+            let (small, poison) = (small.clone(), poison.clone());
+            std::thread::spawn(move || {
+                let mut rng = 0x5eed ^ (t as u64) << 20;
+                let mut calls = Calls::default();
+                let mut held = Vec::new();
+                let keep = |calls: &mut Calls, held: &mut Vec<_>, verdict: Option<_>| {
+                    calls.decisions += 1;
+                    match verdict {
+                        Some(ticket) => {
+                            calls.admitted += 1;
+                            held.push(ticket);
+                        }
+                        None => calls.rejected += 1,
+                    }
+                };
+                for _ in 0..ITERS {
+                    match next(&mut rng) % 8 {
+                        0..=2 => keep(&mut calls, &mut held, service.try_admit(&small)),
+                        3 => {
+                            let t = service.try_admit(&poison);
+                            assert!(t.is_none(), "spurious admit of an infeasible spec");
+                            keep(&mut calls, &mut held, t);
+                        }
+                        4 => {
+                            // A batch booked on this thread's shard and
+                            // its neighbour's, poison interleaved.
+                            let requests: Vec<BatchRequest<'_>> = (0..6)
+                                .map(|k| {
+                                    let spec = if k % 3 == 2 { &poison } else { &small };
+                                    BatchRequest::new(spec).on_shard(t + k % 2)
+                                })
+                                .collect();
+                            for outcome in service.admit_batch(&requests) {
+                                keep(&mut calls, &mut held, outcome.ticket());
+                            }
+                        }
+                        5 | 6 => {
+                            if !held.is_empty() {
+                                let k = (next(&mut rng) as usize) % held.len();
+                                let ticket = held.swap_remove(k);
+                                calls.released += 1;
+                                if next(&mut rng).is_multiple_of(2) {
+                                    ticket.release();
+                                } // ...else drop releases it
+                            }
+                        }
+                        _ => {
+                            if !held.is_empty() && next(&mut rng).is_multiple_of(4) {
+                                let k = (next(&mut rng) as usize) % held.len();
+                                held.swap_remove(k).detach();
+                                calls.detached += 1;
+                            }
+                        }
+                    }
+                }
+                calls.released += held.len() as u64;
+                drop(held);
+                calls
+            })
+        })
+        .collect();
+
+    while !workers.iter().all(|w| w.is_finished()) {
+        service.debug_validate();
+        std::thread::yield_now();
+    }
+    let calls: Vec<Calls> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    let sum = |f: fn(&Calls) -> u64| calls.iter().map(f).sum::<u64>();
+
+    service.debug_validate();
+    let snap = service.snapshot();
+    let c = snap.counters;
+    assert_eq!(c.decisions(), sum(|k| k.decisions), "{c:?}");
+    assert_eq!(c.admitted, sum(|k| k.admitted), "{c:?}");
+    assert_eq!(c.rejected, sum(|k| k.rejected), "{c:?}");
+    assert_eq!(c.released, sum(|k| k.released), "{c:?}");
+    assert_eq!(c.expired, 0, "no deadline passed: {c:?}");
+    assert_eq!(snap.decision_latency.count(), c.decisions());
+    assert_eq!(snap.live_tasks as u64, sum(|k| k.detached));
+    assert_eq!(
+        c.admitted,
+        c.released + c.expired + snap.live_tasks as u64,
+        "exactly-once removal bookkeeping broke: {c:?} live={}",
+        snap.live_tasks
+    );
+    assert!(c.admitted > 0 && c.fast_rejected > 0, "{c:?}");
 }
